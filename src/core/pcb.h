@@ -55,6 +55,7 @@ struct Pcb {
 
   // --- transport state (maintained by tcp::TcpMachine) --------------------
   TcpState state = TcpState::kClosed;
+  bool delack_pending = false;  ///< delayed ACK owed (TF_DELACK)
   std::uint32_t iss = 0;      ///< initial send sequence number
   std::uint32_t irs = 0;      ///< initial receive sequence number
   std::uint32_t snd_una = 0;  ///< oldest unacknowledged sequence number
@@ -70,7 +71,13 @@ struct Pcb {
   std::uint32_t ssthresh = 0xffffffff;
   std::uint32_t rto_us = 1'000'000;
   std::uint32_t dupacks = 0;  ///< consecutive non-advancing ACKs (t_dupacks)
-  bool delack_pending = false;  ///< delayed ACK owed (TF_DELACK)
+
+  // --- socket-table linkage ---------------------------------------------
+  /// Index of this connection's retransmit/close-timer record in the
+  /// owning tcp::SocketTable, or kNoTimerRecord. Fits the padding before
+  /// the counters, so the PCB stays two cache lines.
+  std::uint32_t timer_record = kNoTimerRecord;
+  static constexpr std::uint32_t kNoTimerRecord = 0xffffffffu;
 
   // --- counters ------------------------------------------------------------
   std::uint64_t segs_in = 0;
@@ -78,6 +85,8 @@ struct Pcb {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };
+
+static_assert(sizeof(Pcb) == 128, "Pcb is sized to two 64-byte cache lines");
 
 }  // namespace tcpdemux::core
 

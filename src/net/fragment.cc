@@ -1,6 +1,7 @@
 #include "net/fragment.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace tcpdemux::net {
 
@@ -42,7 +43,7 @@ std::vector<std::vector<std::uint8_t>> fragment_packet(
   return fragments;
 }
 
-std::optional<std::vector<std::uint8_t>> Reassembler::offer(
+std::optional<std::span<const std::uint8_t>> Reassembler::offer(
     std::span<const std::uint8_t> wire, double now) {
   const auto header = Ipv4Header::parse(wire);
   if (!header) {
@@ -51,8 +52,7 @@ std::optional<std::vector<std::uint8_t>> Reassembler::offer(
   }
   if (!header->more_fragments && header->fragment_offset == 0) {
     // Whole datagram; nothing to do.
-    return std::vector<std::uint8_t>(wire.begin(),
-                                     wire.begin() + header->total_length);
+    return wire.first(header->total_length);
   }
 
   const DatagramKey key{header->src.value(), header->dst.value(),
@@ -92,7 +92,7 @@ std::optional<std::vector<std::uint8_t>> Reassembler::offer(
   return try_complete(key, partial);
 }
 
-std::optional<std::vector<std::uint8_t>> Reassembler::try_complete(
+std::optional<std::span<const std::uint8_t>> Reassembler::try_complete(
     const DatagramKey& key, Partial& partial) {
   if (partial.total_length == 0 || !partial.header.has_value()) {
     return std::nullopt;
@@ -108,13 +108,12 @@ std::optional<std::vector<std::uint8_t>> Reassembler::try_complete(
   h.total_length =
       static_cast<std::uint16_t>(Ipv4Header::kSize + partial.total_length);
 
-  std::vector<std::uint8_t> out(h.total_length);
-  h.serialize(out);
-  std::copy_n(partial.data.begin(),
-              static_cast<std::ptrdiff_t>(partial.total_length),
-              out.begin() + Ipv4Header::kSize);
+  assembled_.resize(h.total_length);
+  h.serialize(assembled_);
+  std::memcpy(assembled_.data() + Ipv4Header::kSize, partial.data.data(),
+              partial.total_length);
   pending_.erase(key);
-  return out;
+  return std::span<const std::uint8_t>(assembled_);
 }
 
 std::size_t Reassembler::expire(double now) {

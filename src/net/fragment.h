@@ -39,11 +39,14 @@ class Reassembler {
   Reassembler() : Reassembler(Options()) {}
   explicit Reassembler(Options options) : options_(options) {}
 
-  /// Offers one wire-format IPv4 packet at time `now`. Non-fragments are
-  /// returned immediately. A fragment that completes its datagram returns
-  /// the reassembled wire bytes (header from the first fragment, offset 0,
-  /// MF clear, checksum recomputed). Otherwise nullopt.
-  std::optional<std::vector<std::uint8_t>> offer(
+  /// Offers one wire-format IPv4 packet at time `now` and returns a view of
+  /// the complete datagram, or nullopt while it is incomplete (or
+  /// rejected). Nothing is copied for a non-fragment: the view aliases
+  /// `wire`, trimmed to the IPv4 total length. A fragment that completes
+  /// its datagram yields the reassembled wire bytes (header from the first
+  /// fragment, offset 0, MF clear, checksum recomputed) in a buffer this
+  /// Reassembler owns; that view stays valid until the next offer().
+  std::optional<std::span<const std::uint8_t>> offer(
       std::span<const std::uint8_t> wire, double now);
 
   /// Discards partial datagrams older than the timeout. Returns how many
@@ -75,11 +78,12 @@ class Reassembler {
     std::optional<Ipv4Header> header; ///< from the offset-0 fragment
   };
 
-  std::optional<std::vector<std::uint8_t>> try_complete(
+  std::optional<std::span<const std::uint8_t>> try_complete(
       const DatagramKey& key, Partial& partial);
 
   Options options_;
   std::map<DatagramKey, Partial> pending_;
+  std::vector<std::uint8_t> assembled_;  ///< last reassembled datagram
   std::uint64_t rejected_ = 0;
 };
 

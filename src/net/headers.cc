@@ -1,9 +1,26 @@
 #include "net/headers.h"
 
+#include <cstring>
+#include <stdexcept>
+
 #include "net/byte_order.h"
 #include "net/checksum.h"
 
 namespace tcpdemux::net {
+
+void TcpOptionBytes::assign(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() > kCapacity) {
+    throw std::length_error("TCP options exceed 40 bytes");
+  }
+  if (!bytes.empty()) std::memcpy(bytes_.data(), bytes.data(), bytes.size());
+  size_ = static_cast<std::uint8_t>(bytes.size());
+}
+
+void TcpOptionBytes::assign(std::size_t n, std::uint8_t value) {
+  if (n > kCapacity) throw std::length_error("TCP options exceed 40 bytes");
+  std::memset(bytes_.data(), value, n);
+  size_ = static_cast<std::uint8_t>(n);
+}
 
 std::size_t Ipv4Header::serialize(std::span<std::uint8_t> out) const {
   out[0] = 0x45;  // version 4, IHL 5
@@ -60,8 +77,8 @@ std::size_t TcpHeader::serialize(std::span<std::uint8_t> out) const {
   store_be16(out.data() + 14, window);
   store_be16(out.data() + 16, 0);  // checksum patched by caller
   store_be16(out.data() + 18, urgent_pointer);
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    out[kMinSize + i] = options[i];
+  if (!options.empty()) {
+    std::memcpy(out.data() + kMinSize, options.data(), options.size());
   }
   return size();
 }
@@ -81,8 +98,7 @@ std::optional<TcpHeader> TcpHeader::parse(std::span<const std::uint8_t> bytes) {
   h.flags = bytes[13];
   h.window = load_be16(bytes.data() + 14);
   h.urgent_pointer = load_be16(bytes.data() + 18);
-  h.options.assign(bytes.begin() + kMinSize,
-                   bytes.begin() + static_cast<std::ptrdiff_t>(data_offset));
+  h.options.assign(bytes.subspan(kMinSize, data_offset - kMinSize));
   return h;
 }
 

@@ -4,15 +4,19 @@
 // Only the fields a demultiplexer and a minimal TCP machine need are modeled
 // as first-class members; IPv4 options are rejected on parse (the simulated
 // stack never emits them) and TCP options are carried as an opaque blob so
-// data offset round-trips exactly.
+// data offset round-trips exactly. The blob is held inline (a data offset
+// of 15 words leaves at most 40 option bytes), so a header never touches
+// the heap.
 #ifndef TCPDEMUX_NET_HEADERS_H_
 #define TCPDEMUX_NET_HEADERS_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/ip_addr.h"
 
@@ -63,10 +67,49 @@ struct Ipv4Header {
       std::span<const std::uint8_t> bytes);
 };
 
+/// TCP option bytes, stored inline. Holds at most kCapacity bytes; assign()
+/// throws std::length_error beyond that.
+class TcpOptionBytes {
+ public:
+  static constexpr std::size_t kCapacity = 40;
+
+  TcpOptionBytes() = default;
+  TcpOptionBytes(std::initializer_list<std::uint8_t> bytes) {
+    assign(std::span(bytes.begin(), bytes.size()));
+  }
+
+  void assign(std::span<const std::uint8_t> bytes);
+  void assign(std::size_t n, std::uint8_t value);
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return bytes_.data();
+  }
+  [[nodiscard]] const std::uint8_t* begin() const noexcept { return data(); }
+  [[nodiscard]] const std::uint8_t* end() const noexcept {
+    return data() + size_;
+  }
+  // Implicit so the blob passes straight to span-taking parsers such as
+  // parse_tcp_options.
+  operator std::span<const std::uint8_t>() const noexcept {
+    return {data(), size_};
+  }
+
+  friend bool operator==(const TcpOptionBytes& a,
+                         const TcpOptionBytes& b) noexcept {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<std::uint8_t, kCapacity> bytes_{};
+  std::uint8_t size_ = 0;
+};
+
 /// TCP header. `options` must be a multiple of 4 bytes (pre-padded).
 struct TcpHeader {
   static constexpr std::size_t kMinSize = 20;
-  static constexpr std::size_t kMaxSize = 60;
+  static constexpr std::size_t kMaxSize = kMinSize + TcpOptionBytes::kCapacity;
 
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -75,7 +118,7 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
   std::uint16_t urgent_pointer = 0;
-  std::vector<std::uint8_t> options;  ///< padded to 4-byte multiple
+  TcpOptionBytes options;  ///< padded to 4-byte multiple
 
   [[nodiscard]] bool has(TcpFlag f) const noexcept {
     return (flags & static_cast<std::uint8_t>(f)) != 0;

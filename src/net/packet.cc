@@ -1,5 +1,7 @@
 #include "net/packet.h"
 
+#include <cstring>
+
 #include "net/byte_order.h"
 #include "net/checksum.h"
 
@@ -19,9 +21,8 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> wire) {
 
   Packet p;
   p.ip = *ip;
-  p.tcp = std::move(*tcp);
-  p.payload.assign(segment.begin() + static_cast<std::ptrdiff_t>(p.tcp.size()),
-                   segment.end());
+  p.tcp = *tcp;
+  p.payload = segment.subspan(p.tcp.size());
   return p;
 }
 
@@ -35,7 +36,8 @@ std::vector<std::uint8_t> PacketBuilder::build() const {
   ip.dst = dst_.addr;
   ip.ttl = ttl_;
   ip.identification = ip_id_;
-  const std::size_t segment_len = tcp.size() + payload_.size();
+  // At most one of payload_ and fill_size_ is non-empty.
+  const std::size_t segment_len = tcp.size() + payload_.size() + fill_size_;
   ip.total_length =
       static_cast<std::uint16_t>(Ipv4Header::kSize + segment_len);
 
@@ -43,9 +45,9 @@ std::vector<std::uint8_t> PacketBuilder::build() const {
   ip.serialize(std::span(wire).subspan(0, Ipv4Header::kSize));
   auto segment = std::span(wire).subspan(Ipv4Header::kSize);
   tcp.serialize(segment);
-  for (std::size_t i = 0; i < payload_.size(); ++i) {
-    segment[tcp.size() + i] = payload_[i];
-  }
+  std::uint8_t* body = segment.data() + tcp.size();
+  if (!payload_.empty()) std::memcpy(body, payload_.data(), payload_.size());
+  std::memset(body + payload_.size(), kFillByte, fill_size_);
   const std::uint16_t sum = tcp_checksum(ip.src, ip.dst, segment);
   store_be16(segment.data() + 16, sum);
   return wire;

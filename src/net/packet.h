@@ -13,11 +13,12 @@
 
 namespace tcpdemux::net {
 
-/// A fully parsed and checksum-verified TCP/IPv4 packet.
+/// A fully parsed and checksum-verified TCP/IPv4 packet. `payload` views
+/// the wire bytes given to parse(): a Packet must not outlive them.
 struct Packet {
   Ipv4Header ip;
   TcpHeader tcp;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 
   /// The demultiplexing key as seen by the packet's *receiver*: the
   /// packet's destination is the local half, its source the foreign half.
@@ -27,7 +28,7 @@ struct Packet {
 
   /// Parses and verifies a wire-format TCP/IPv4 packet. Fails on any IPv4
   /// parse failure, non-TCP protocol, fragmentation, TCP parse failure, or
-  /// bad TCP checksum.
+  /// bad TCP checksum. Copies nothing but the headers.
   [[nodiscard]] static std::optional<Packet> parse(
       std::span<const std::uint8_t> wire);
 };
@@ -85,17 +86,24 @@ class PacketBuilder {
     ip_id_ = id;
     return *this;
   }
+  /// Copies `bytes` as the payload.
   PacketBuilder& payload(std::span<const std::uint8_t> bytes) {
     payload_.assign(bytes.begin(), bytes.end());
+    fill_size_ = 0;
     return *this;
   }
-  PacketBuilder& payload_size(std::size_t n) {
-    payload_.assign(n, 0xab);
+  /// A payload of `n` filler bytes (kFillByte), written by build() straight
+  /// into the wire buffer.
+  PacketBuilder& payload_size(std::size_t n) noexcept {
+    payload_.clear();
+    fill_size_ = n;
     return *this;
   }
 
+  static constexpr std::uint8_t kFillByte = 0xab;
+
   /// Serializes to wire bytes (IPv4 header, TCP header, payload) with both
-  /// checksums computed.
+  /// checksums computed. The returned buffer is the only allocation.
   [[nodiscard]] std::vector<std::uint8_t> build() const;
 
  private:
@@ -104,7 +112,8 @@ class PacketBuilder {
   TcpHeader tcp_;
   std::uint8_t ttl_ = 64;
   std::uint16_t ip_id_ = 0;
-  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> payload_;  ///< set by payload()
+  std::size_t fill_size_ = 0;         ///< set by payload_size()
 };
 
 }  // namespace tcpdemux::net

@@ -1,30 +1,41 @@
 #include "tcp/retransmit_queue.h"
 
+#include <algorithm>
+
 namespace tcpdemux::tcp {
 
 void RetransmitQueue::on_send(std::uint32_t seq, std::uint32_t len,
                               double now) {
-  segments_.push_back(Segment{seq, len, now, now, 1});
+  if (count_ == ring_.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<Segment> grown(std::max<std::size_t>(4, 2 * ring_.size()));
+    for (std::size_t i = 0; i < count_; ++i) grown[i] = at(i);
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  at(count_) = Segment{seq, len, now, now, 1};
+  ++count_;
 }
 
 std::optional<double> RetransmitQueue::on_ack(std::uint32_t ack,
                                               double now) {
   std::optional<double> sample;
-  while (!segments_.empty()) {
-    const Segment& front = segments_.front();
+  while (count_ != 0) {
+    const Segment& front = at(0);
     if (!seq_leq(front.seq + front.len, ack)) break;  // not fully covered
     if (front.transmissions == 1) {
       sample = now - front.first_sent;  // Karn: only clean transmissions
     }
-    segments_.pop_front();
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
   }
   return sample;
 }
 
 std::optional<RetransmitQueue::Segment> RetransmitQueue::take_expired(
     double now, double rto) {
-  if (segments_.empty()) return std::nullopt;
-  Segment& oldest = segments_.front();
+  if (count_ == 0) return std::nullopt;
+  Segment& oldest = at(0);
   if (now - oldest.last_sent < rto) return std::nullopt;
   oldest.last_sent = now;
   ++oldest.transmissions;
@@ -33,8 +44,8 @@ std::optional<RetransmitQueue::Segment> RetransmitQueue::take_expired(
 
 std::optional<RetransmitQueue::Segment> RetransmitQueue::take_front(
     double now) {
-  if (segments_.empty()) return std::nullopt;
-  Segment& oldest = segments_.front();
+  if (count_ == 0) return std::nullopt;
+  Segment& oldest = at(0);
   oldest.last_sent = now;
   ++oldest.transmissions;
   return oldest;
@@ -42,7 +53,7 @@ std::optional<RetransmitQueue::Segment> RetransmitQueue::take_front(
 
 std::uint64_t RetransmitQueue::outstanding() const noexcept {
   std::uint64_t total = 0;
-  for (const Segment& s : segments_) total += s.len;
+  for (std::size_t i = 0; i < count_; ++i) total += at(i).len;
   return total;
 }
 

@@ -6,12 +6,17 @@
 // when transmitted, leave when cumulatively acknowledged, and come back
 // for retransmission when their RTO expires. Karn's algorithm is applied:
 // a segment that has been retransmitted never produces an RTT sample.
+//
+// Segments live in a power-of-two ring that only grows; clear() keeps its
+// storage, so a queue recycled by the socket table sends without
+// allocating.
 #ifndef TCPDEMUX_TCP_RETRANSMIT_QUEUE_H_
 #define TCPDEMUX_TCP_RETRANSMIT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "tcp/seq_math.h"
 
@@ -49,13 +54,29 @@ class RetransmitQueue {
   /// Bytes (plus SYN/FIN units) still unacknowledged.
   [[nodiscard]] std::uint64_t outstanding() const noexcept;
 
-  [[nodiscard]] std::size_t size() const noexcept { return segments_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return segments_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
-  void clear() noexcept { segments_.clear(); }
+  /// Segment slots allocated; clear() keeps them.
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+
+  void clear() noexcept {
+    head_ = 0;
+    count_ = 0;
+  }
 
  private:
-  std::deque<Segment> segments_;  ///< ordered by seq
+  /// The i-th oldest outstanding segment.
+  [[nodiscard]] Segment& at(std::size_t i) noexcept {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  [[nodiscard]] const Segment& at(std::size_t i) const noexcept {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+
+  std::vector<Segment> ring_;  ///< power-of-two slots, oldest at head_
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace tcpdemux::tcp

@@ -1,6 +1,7 @@
 #include "tcp/socket_table.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "tcp/rtt.h"
 
@@ -45,24 +46,49 @@ bool SocketTable::erase(const net::FlowKey& key) {
     accept_queue_.erase(
         std::remove(accept_queue_.begin(), accept_queue_.end(), pcb),
         accept_queue_.end());
-    retransmit_.erase(pcb);
-    closing_since_.erase(pcb);
+    release_timer_record(*pcb);
   }
   return demuxer_->erase(key);
+}
+
+SocketTable::TimerRecord& SocketTable::timer_record(Pcb& pcb) {
+  if (pcb.timer_record == Pcb::kNoTimerRecord) {
+    if (live_records_ == records_.size()) records_.emplace_back();
+    pcb.timer_record = static_cast<std::uint32_t>(live_records_++);
+    records_[pcb.timer_record].pcb = &pcb;
+  }
+  return records_[pcb.timer_record];
+}
+
+void SocketTable::release_timer_record(Pcb& pcb) noexcept {
+  const std::uint32_t i = pcb.timer_record;
+  if (i == Pcb::kNoTimerRecord) return;
+  pcb.timer_record = Pcb::kNoTimerRecord;
+  const std::size_t last = --live_records_;
+  if (i != last) {
+    std::swap(records_[i], records_[last]);
+    records_[i].pcb->timer_record = i;
+  }
+  TimerRecord& freed = records_[last];
+  freed.pcb = nullptr;
+  freed.retransmit.clear();
+  freed.closing_since.reset();
 }
 
 std::size_t SocketTable::reap_closed(double msl) {
   if (!clock_) return 0;
   const double now = clock_();
-  std::vector<net::FlowKey> victims;
-  for (const auto& [pcb, since] : closing_since_) {
-    const bool expired = pcb->state == core::TcpState::kClosed ||
-                         (pcb->state == core::TcpState::kTimeWait &&
-                          now - since >= 2.0 * msl);
-    if (expired) victims.push_back(pcb->key);
-  }
   std::size_t reaped = 0;
-  for (const net::FlowKey& key : victims) {
+  // Backwards, so erasing record i moves an already-visited one into it.
+  for (std::size_t i = live_records_; i-- > 0;) {
+    const TimerRecord& record = records_[i];
+    if (!record.closing_since.has_value()) continue;
+    const Pcb& pcb = *record.pcb;
+    const bool expired = pcb.state == core::TcpState::kClosed ||
+                         (pcb.state == core::TcpState::kTimeWait &&
+                          now - *record.closing_since >= 2.0 * msl);
+    if (!expired) continue;
+    const net::FlowKey key = pcb.key;  // erase() destroys the PCB
     if (erase(key)) ++reaped;
   }
   return reaped;
@@ -114,7 +140,8 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
     if (clock_ && lookup.pcb->state != before &&
         (lookup.pcb->state == core::TcpState::kTimeWait ||
          lookup.pcb->state == core::TcpState::kClosed)) {
-      closing_since_.emplace(lookup.pcb, clock_());
+      TimerRecord& record = timer_record(*lookup.pcb);
+      if (!record.closing_since) record.closing_since = clock_();
     }
     note_acked(*lookup.pcb);
     ++counters_.delivered;
@@ -185,12 +212,13 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
 }
 
 void SocketTable::note_acked(Pcb& pcb) {
-  if (!clock_) return;
-  const auto it = retransmit_.find(&pcb);
-  if (it == retransmit_.end()) return;
-  const std::size_t outstanding_before = it->second.size();
-  const auto sample = it->second.on_ack(pcb.snd_una, clock_());
-  if (it->second.size() < outstanding_before) {
+  if (!clock_ || pcb.timer_record == Pcb::kNoTimerRecord) return;
+  TimerRecord& record = records_[pcb.timer_record];
+  RetransmitQueue& queue = record.retransmit;
+  const std::size_t outstanding_before = queue.size();
+  const auto sample = queue.on_ack(pcb.snd_una, clock_());
+  std::optional<RetransmitQueue::Segment> resend;
+  if (queue.size() < outstanding_before) {
     pcb.dupacks = 0;
     if (sample.has_value() && *sample >= 0.0) {
       update_pcb_rtt(pcb, static_cast<std::uint32_t>(*sample * 1e6));
@@ -205,18 +233,18 @@ void SocketTable::note_acked(Pcb& pcb) {
                            1'000'000u, 60'000'000u)
               : 1'000'000u;
     }
-  } else if (!it->second.empty()) {
+  } else if (!queue.empty()) {
     // A non-advancing ACK while data is outstanding: a duplicate. Three in
     // a row trigger fast retransmit of the oldest segment (RFC 5681 §3.2,
     // without the congestion-window machinery).
     if (++pcb.dupacks >= 3) {
       pcb.dupacks = 0;
-      if (const auto segment = it->second.take_front(clock_())) {
-        retransmit_segment(pcb, *segment);
-      }
+      resend = queue.take_front(clock_());
     }
   }
-  if (it->second.empty()) retransmit_.erase(it);
+  if (queue.empty() && !record.closing_since) release_timer_record(pcb);
+  // Last: the transmit callback may grow records_, invalidating `record`.
+  if (resend) retransmit_segment(pcb, *resend);
 }
 
 void SocketTable::retransmit_segment(Pcb& pcb,
@@ -232,26 +260,33 @@ void SocketTable::retransmit_segment(Pcb& pcb,
       .window(pcb.rcv_wnd)
       .payload_size(segment.len);
   demuxer_->note_sent(&pcb);
-  transmit_(builder.build(), pcb);
   ++pcb.segs_out;
   ++counters_.retransmissions;
+  transmit_(builder.build(), pcb);  // last: see TransmitFn
 }
 
 std::size_t SocketTable::poll_retransmits() {
   if (!clock_) return 0;
   const double now = clock_();
   std::size_t resent = 0;
-  for (auto& [pcb, queue] : retransmit_) {
-    const double rto = pcb->rto_us / 1e6;
+  // Backwards by index, re-reading records_ each step. A transmit callback
+  // may take records (appended behind the walk, with nothing yet due) or
+  // free them. Freeing one moves the last held record into its place: that
+  // record is either still ahead of the walk or already visited, and a
+  // second visit finds nothing due.
+  for (std::size_t i = live_records_; i-- > 0;) {
+    if (i >= live_records_) continue;  // freed by a callback
+    TimerRecord& record = records_[i];
+    Pcb& pcb = *record.pcb;
     // Classic RTO behavior: resend only the oldest outstanding segment and
     // back the timer off once; the cumulative ACK it provokes re-arms
     // recovery for the rest (retransmitting the whole queue would mark
     // every segment with Karn's bit and starve the RTT estimator forever).
-    if (const auto segment = queue.take_expired(now, rto)) {
-      retransmit_segment(*pcb, *segment);
-      ++resent;
-      pcb->rto_us = std::min<std::uint32_t>(pcb->rto_us * 2, 60'000'000u);
-    }
+    const auto segment = record.retransmit.take_expired(now, pcb.rto_us / 1e6);
+    if (!segment) continue;
+    pcb.rto_us = std::min<std::uint32_t>(pcb.rto_us * 2, 60'000'000u);
+    ++resent;
+    retransmit_segment(pcb, *segment);  // neither record nor pcb used after
   }
   return resent;
 }
@@ -268,7 +303,7 @@ void SocketTable::transmit_segment(Pcb& pcb, const Emit& emit) {
     builder.ack_seq(emit.ack);
   }
   if (clock_ && emit.payload_len > 0) {
-    retransmit_[&pcb].on_send(emit.seq, emit.payload_len, clock_());
+    timer_record(pcb).retransmit.on_send(emit.seq, emit.payload_len, clock_());
   }
   demuxer_->note_sent(&pcb);
   transmit_(builder.build(), pcb);

@@ -14,11 +14,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
-#include <unordered_map>
-#include <vector>
-
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/demux_registry.h"
 #include "core/demuxer.h"
@@ -33,6 +31,16 @@ class SocketTable {
  public:
   /// Receives every outbound wire packet (IPv4 + TCP + payload, checksums
   /// valid). `pcb` is the connection it belongs to.
+  ///
+  /// Re-entrancy: the table calls a TransmitFn synchronously, after it has
+  /// updated all of its own state for the segment. The function may call
+  /// back into this table for *other* connections (send_data, close,
+  /// connect, erase, accept, find). It must not erase `pcb` itself, nor
+  /// deliver a packet to it, from inside deliver(), deliver_wire(),
+  /// connect(), send_data() or close(): those still use the PCB after the
+  /// segment is handed over. poll_retransmits() does not, so a TransmitFn
+  /// called from it may do anything, including erase the connection whose
+  /// segment it was given.
   using TransmitFn =
       std::function<void(std::vector<std::uint8_t> wire, const core::Pcb& pcb)>;
 
@@ -100,6 +108,9 @@ class SocketTable {
   // retransmission queue, cumulative ACKs produce RTT samples feeding the
   // PCB's RFC 6298 estimator (Karn's rule applied), and poll_retransmits()
   // re-emits segments whose RTO expired, backing the RTO off per timeout.
+  // The queue and the TIME_WAIT/CLOSED timestamp live in one timer record
+  // per connection that has either; the PCB names it by index
+  // (Pcb::timer_record), and the timers walk only the record array.
 
   /// Enables loss recovery. `clock` returns the current time in seconds.
   void set_clock(std::function<double()> clock) {
@@ -168,6 +179,21 @@ class SocketTable {
   void retransmit_segment(core::Pcb& pcb,
                           const RetransmitQueue::Segment& segment);
 
+  /// Retransmit and close-timer state of one connection. A record is held
+  /// only while its connection has unacknowledged data or is closing.
+  /// records_[0, live_records_) are held; freeing one moves the last held
+  /// record into its place, and the freed one keeps its queue's storage for
+  /// the next connection to take it.
+  struct TimerRecord {
+    core::Pcb* pcb = nullptr;  ///< owner; nullptr while free
+    RetransmitQueue retransmit;
+    std::optional<double> closing_since;  ///< entered TIME_WAIT/CLOSED
+  };
+  /// The PCB's record, taking a free one if it has none.
+  TimerRecord& timer_record(core::Pcb& pcb);
+  /// Frees the PCB's record, if any.
+  void release_timer_record(core::Pcb& pcb) noexcept;
+
   std::unique_ptr<core::Demuxer> demuxer_;
   std::vector<Listener> listeners_;
   TransmitFn transmit_;
@@ -175,8 +201,8 @@ class SocketTable {
   Counters counters_;
   std::vector<core::Pcb*> accept_queue_;
   std::function<double()> clock_;
-  std::unordered_map<core::Pcb*, RetransmitQueue> retransmit_;
-  std::unordered_map<core::Pcb*, double> closing_since_;
+  std::vector<TimerRecord> records_;
+  std::size_t live_records_ = 0;
   std::optional<SynCache> syn_cache_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/packet.h"
 
 namespace tcpdemux::net {
@@ -24,6 +26,14 @@ std::vector<std::uint8_t> datagram(std::size_t payload,
     h->serialize(wire);
   }
   return wire;
+}
+
+// Reassembler::offer returns a view that the next offer may overwrite;
+// tests that keep a result across offers copy it first.
+std::optional<std::vector<std::uint8_t>> copied(
+    std::optional<std::span<const std::uint8_t>> view) {
+  if (!view) return std::nullopt;
+  return std::vector<std::uint8_t>(view->begin(), view->end());
 }
 
 TEST(Fragment, SmallPacketPassesThrough) {
@@ -72,7 +82,7 @@ TEST(Reassembly, InOrderRoundTrip) {
   std::optional<std::vector<std::uint8_t>> result;
   for (const auto& f : fragments) {
     EXPECT_FALSE(result.has_value());
-    result = r.offer(f, 0.0);
+    result = copied(r.offer(f, 0.0));
   }
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, wire);
@@ -89,7 +99,7 @@ TEST(Reassembly, OutOfOrderRoundTrip) {
   Reassembler r;
   std::optional<std::vector<std::uint8_t>> result;
   for (auto it = fragments.rbegin(); it != fragments.rend(); ++it) {
-    result = r.offer(*it, 0.0);
+    result = copied(r.offer(*it, 0.0));
   }
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, wire);
@@ -102,13 +112,13 @@ TEST(Reassembly, DuplicateFragmentsHarmless) {
   std::optional<std::vector<std::uint8_t>> result;
   for (const auto& f : fragments) {
     (void)r.offer(f, 0.0);  // deliver everything twice
-    result = r.offer(f, 0.0);
+    result = copied(r.offer(f, 0.0));
     if (result) break;
   }
   // The final duplicate completes (or the set completed on first pass).
   const auto again = fragment_packet(wire, 300);
   for (const auto& f : again) {
-    if (!result) result = r.offer(f, 0.0);
+    if (!result) result = copied(r.offer(f, 0.0));
   }
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, wire);
@@ -119,8 +129,33 @@ TEST(Reassembly, NonFragmentPassesThrough) {
   Reassembler r;
   const auto result = r.offer(wire, 0.0);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, wire);
+  EXPECT_TRUE(std::ranges::equal(*result, wire));
   EXPECT_EQ(r.pending_datagrams(), 0u);
+}
+
+TEST(Reassembly, WholeDatagramViewAliasesInput) {
+  auto wire = datagram(64);
+  const std::size_t length = wire.size();
+  wire.resize(length + 6, 0);  // link-layer padding past the IPv4 length
+  Reassembler r;
+  const auto result = r.offer(wire, 0.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->data(), wire.data());  // not copied
+  EXPECT_EQ(result->size(), length);       // trimmed to total_length
+}
+
+TEST(Reassembly, ReassembledViewIsOwnedByReassembler) {
+  const auto wire = datagram(1000);
+  const auto fragments = fragment_packet(wire, 300);
+  Reassembler r;
+  std::optional<std::span<const std::uint8_t>> result;
+  for (const auto& f : fragments) result = r.offer(f, 0.0);
+  ASSERT_TRUE(result.has_value());
+  for (const auto& f : fragments) {
+    EXPECT_FALSE(result->data() >= f.data() &&
+                 result->data() < f.data() + f.size());
+  }
+  EXPECT_TRUE(std::ranges::equal(*result, wire));
 }
 
 TEST(Reassembly, InterleavedDatagramsKeptSeparate) {
@@ -132,8 +167,8 @@ TEST(Reassembly, InterleavedDatagramsKeptSeparate) {
   std::optional<std::vector<std::uint8_t>> got_a;
   std::optional<std::vector<std::uint8_t>> got_b;
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    auto ra = r.offer(fa[i], 0.0);
-    auto rb = r.offer(fb[i], 0.0);
+    const auto ra = copied(r.offer(fa[i], 0.0));
+    const auto rb = copied(r.offer(fb[i], 0.0));
     if (ra) got_a = ra;
     if (rb) got_b = rb;
   }
@@ -202,7 +237,7 @@ TEST(Reassembly, TwoLevelFragmentationStillReassembles) {
   std::optional<std::vector<std::uint8_t>> result;
   for (const auto& f : fragment_packet(wire, 600)) {
     for (const auto& ff : fragment_packet(f, 300)) {
-      const auto got = r.offer(ff, 0.0);
+      const auto got = copied(r.offer(ff, 0.0));
       if (got) result = got;
     }
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <vector>
 
 namespace tcpdemux::net {
@@ -119,6 +121,30 @@ TEST(TcpHeader, OptionsRoundTrip) {
   const auto parsed = TcpHeader::parse(buf);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->options, t.options);
+}
+
+TEST(TcpHeader, FullOptionBlockRoundTrips) {
+  TcpHeader t = sample_tcp();
+  std::array<std::uint8_t, TcpOptionBytes::kCapacity> block{};
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  t.options.assign(block);
+  EXPECT_EQ(t.size(), TcpHeader::kMaxSize);
+  std::array<std::uint8_t, TcpHeader::kMaxSize> buf{};
+  EXPECT_EQ(t.serialize(buf), TcpHeader::kMaxSize);
+  EXPECT_EQ(buf[12] >> 4, 15);  // the largest data offset
+  const auto parsed = TcpHeader::parse(buf);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->options, t.options);
+  EXPECT_TRUE(std::ranges::equal(parsed->options, block));
+}
+
+TEST(TcpHeader, OptionsBeyondFortyBytesRefused) {
+  TcpOptionBytes options;
+  EXPECT_THROW(options.assign(TcpOptionBytes::kCapacity + 4, 1),
+               std::length_error);
+  EXPECT_TRUE(options.empty());
 }
 
 TEST(TcpHeader, ParseRejectsShortBuffer) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace tcpdemux::net {
@@ -121,7 +122,7 @@ TEST(Packet, PayloadBytesArePreserved) {
                         .build();
   const auto p = Packet::parse(wire);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->payload, data);
+  EXPECT_TRUE(std::ranges::equal(p->payload, data));
 }
 
 }  // namespace

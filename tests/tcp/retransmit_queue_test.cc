@@ -102,5 +102,38 @@ TEST(RetransmitQueue, ClearEmpties) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(RetransmitQueue, ClearKeepsStorage) {
+  RetransmitQueue q;
+  for (std::uint32_t i = 0; i < 5; ++i) q.on_send(100 * i, 100, 0.0);
+  const std::size_t capacity = q.capacity();
+  EXPECT_GE(capacity, 5u);
+  q.clear();
+  for (std::uint32_t i = 0; i < 5; ++i) q.on_send(100 * i, 100, 1.0);
+  EXPECT_EQ(q.capacity(), capacity);
+}
+
+TEST(RetransmitQueue, RingWrapsAndGrowsInSequenceOrder) {
+  RetransmitQueue q;
+  std::uint32_t next = 1000;
+  std::uint32_t una = next;
+  // Keep a few segments outstanding while the head walks round the ring,
+  // then outgrow it mid-wrap.
+  for (int round = 0; round < 20; ++round) {
+    const int burst = round < 15 ? 3 : 9;
+    for (int i = 0; i < burst; ++i) {
+      q.on_send(next, 10, static_cast<double>(round));
+      next += 10;
+    }
+    const auto oldest = q.take_front(static_cast<double>(round));
+    ASSERT_TRUE(oldest.has_value());
+    EXPECT_EQ(oldest->seq, una);
+    una += 20;  // acknowledge two segments
+    (void)q.on_ack(una, static_cast<double>(round));
+    EXPECT_EQ(q.outstanding(), std::uint64_t{next - una});
+  }
+  (void)q.on_ack(next, 30.0);
+  EXPECT_TRUE(q.empty());
+}
+
 }  // namespace
 }  // namespace tcpdemux::tcp
