@@ -11,6 +11,9 @@
 // baseline.
 //
 //   wallclock_batch [--smoke] [--json <path>] [--miss-rate <f>]
+//                   [--sizes <a,b,...>]
+//
+// --sizes accepts k/m suffixes, as in wallclock_lookup ("--sizes 2m").
 //
 // --miss-rate blends negative lookups into the burst stream: the batch
 // path's prefetch pipeline hides miss probes exactly as well as hit
@@ -34,7 +37,8 @@ constexpr std::size_t kBurst = 32;
 std::uint32_t scaled_chains(std::uint32_t users) {
   if (users <= 2000) return 251;
   if (users <= 20000) return 2521;
-  return 25013;
+  if (users <= 200000) return 25013;
+  return 250007;
 }
 
 std::vector<std::string> specs_for(std::uint32_t users) {
@@ -55,6 +59,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint32_t> sizes = {2000, 20000, 200000};
   if (opts.smoke) sizes = {2000};
+  if (!opts.sizes.empty()) sizes = opts.sizes;
 
   std::printf("%-26s %10s %12s %12s %9s\n", "demuxer", "users", "scalar_ns",
               "batch_ns", "speedup");

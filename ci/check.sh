@@ -19,6 +19,9 @@
 #                    assertion (validate_resize.py)     (SKIP_RESIZE=1 skips)
 #   stage 13 sharded wallclock_sharded --smoke + zero-miss/scaling
 #                    assertion (validate_sharded.py)    (SKIP_SHARDED=1 skips)
+#   stage 14 rxbench receive-path benchmark, 2 s traced runs of tpca_2k and
+#                    churn_200k: oracle-correct, zero failed frames
+#                                                        (SKIP_RXBENCH=1 skips)
 #
 # Stages 9 and 10 need LLVM tooling (clang++ / clang-tidy) and skip with a
 # notice when it is not installed, so a GCC-only box still passes the gate.
@@ -229,6 +232,32 @@ if [[ "${SKIP_SHARDED:-0}" != "1" ]]; then
       "$ROOT/build/wallclock_sharded.smoke.json"
 else
   skipped sharded SKIP_SHARDED
+fi
+
+if [[ "${SKIP_RXBENCH:-0}" != "1" ]]; then
+  stage rxbench "receive-path benchmark smoke: oracle-correct, zero failed frames"
+  # run.py builds its own Release tree (.bench_build/) and must run from the
+  # repository root; its last stdout line is the result object.
+  for workload in tpca_2k churn_200k; do
+    result="$ROOT/build/rxbench.$workload.txt"
+    (cd "$ROOT" && python3 rxbench/run.py --workload "$workload" --seed 1 \
+         --seconds 2 --trace 1) > "$result"
+    python3 - "$workload" "$result" <<'PY'
+import json
+import sys
+
+workload, path = sys.argv[1], sys.argv[2]
+lines = open(path, encoding="utf-8").read().split("\n")
+result = json.loads([line for line in lines if line.strip()][-1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"rxbench {workload}: correct={result.get('correct')} "
+             f"failed={result.get('failed')} (want true, 0)")
+print(f"rxbench {workload}: correct, {result.get('attempted')} frames, "
+      "0 failed")
+PY
+  done
+else
+  skipped rxbench SKIP_RXBENCH
 fi
 
 echo

@@ -31,8 +31,7 @@ FlatDemuxer::FlatDemuxer(Options options) : options_(options) {
   mask_ = capacity - 1;
   tags_.assign(capacity, 0);
   hashes_.assign(capacity, 0);
-  keys_.assign(capacity, net::FlowKey{});
-  pcbs_.resize(capacity);
+  index_.assign(capacity, 0);
 }
 
 FlatDemuxer::Probe FlatDemuxer::find_slot(
@@ -47,7 +46,7 @@ FlatDemuxer::Probe FlatDemuxer::find_slot(
     if (t == 0) return r;  // empty slot terminates the probe run
     if (t == tag) {
       ++r.examined;
-      if (keys_[i] == key) {
+      if (key_at(index_[i]) == key) {
         r.slot = i;
         return r;
       }
@@ -83,7 +82,7 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
     while (match != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(match));
       ++r.examined;
-      if (keys_[base + bit] == key) {
+      if (key_at(index_[base + bit]) == key) {
         r.slot = base + bit;
         return r;
       }
@@ -105,7 +104,12 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  // The PCB's cell is the insert's own allocation: secure it before any
+  // mutation so a refusal (injected, or the kernel declining a chunk)
+  // leaves the table exactly as it was.
+  if (FaultInjector::instance().poll_alloc() || !slab_.reserve_one()) {
+    return nullptr;
+  }
   maybe_grow();
   // Ladder rung 2: growth is allocation-blocked and the array has hit its
   // hard 15/16 watermark — shed rather than let probe runs degrade
@@ -115,14 +119,13 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  auto pcb = std::make_unique<Pcb>(key, next_conn_id());
-  Pcb* const raw = pcb.get();
-  const std::size_t dist = place(h, key, std::move(pcb));
+  const std::uint32_t index = slab_.allocate(key, next_conn_id());
+  const std::size_t dist = place(h, index);
   ++size_;
   telemetry_->on_insert();
   note_insert(dist);
   if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
-  return raw;
+  return &slab_.at(index);
 }
 
 void FlatDemuxer::maybe_grow() {
@@ -155,14 +158,12 @@ bool FlatDemuxer::start_migration() {
   std::unique_ptr<OldTable> old;
   std::vector<std::uint8_t> tags;
   std::vector<std::uint32_t> hashes;
-  std::vector<net::FlowKey> keys;
-  std::vector<std::unique_ptr<Pcb>> pcbs;
+  std::vector<std::uint32_t> index;
   try {
     old = std::make_unique<OldTable>();
     tags.assign(cap, 0);
     hashes.assign(cap, 0);
-    keys.assign(cap, net::FlowKey{});
-    pcbs.resize(cap);
+    index.assign(cap, 0);
   } catch (const std::bad_alloc&) {
     defer_migration();
     return false;
@@ -173,14 +174,12 @@ bool FlatDemuxer::start_migration() {
   old->residents = size_;
   old->tags = std::move(tags_);
   old->hashes = std::move(hashes_);
-  old->keys = std::move(keys_);
-  old->pcbs = std::move(pcbs_);
+  old->index = std::move(index_);
   old_ = std::move(old);
   mask_ = cap - 1;
   tags_ = std::move(tags);
   hashes_ = std::move(hashes);
-  keys_ = std::move(keys);
-  pcbs_ = std::move(pcbs);
+  index_ = std::move(index);
   grow_blocked_ = false;
   grow_backoff_ = 0;
   grow_retry_in_ = 0;
@@ -214,13 +213,10 @@ void FlatDemuxer::migrate_batch(std::size_t budget) {
       continue;
     }
     const std::size_t i = old.cursor;
-    const std::uint32_t h = old.hashes[i];
-    const net::FlowKey key = old.keys[i];
-    std::unique_ptr<Pcb> pcb = std::move(old.pcbs[i]);
     // Copy-place into the new array first, then clear the old slot; the
     // old array stays intact up to the moment the entry is live in the
     // new one. Placement into the preallocated array cannot allocate.
-    place(h, key, std::move(pcb));
+    place(old.hashes[i], old.index[i]);
     remove_at_old(i);
     --old.residents;
     ++moved;
@@ -253,7 +249,7 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_old(
     if (t == 0) return r;
     if (t == tag) {
       ++r.examined;
-      if (old.keys[i] == key) {
+      if (key_at(old.index[i]) == key) {
         r.slot = i;
         return r;
       }
@@ -267,23 +263,19 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_old(
 
 void FlatDemuxer::remove_at_old(std::size_t i) {
   OldTable& old = *old_;
-  old.pcbs[i].reset();
   std::size_t j = i;
   while (true) {
     const std::size_t n = (j + 1) & old.mask;
     if (old.tags[n] == 0 || old.probe_distance(n) == 0) break;
     old.tags[j] = old.tags[n];
     old.hashes[j] = old.hashes[n];
-    old.keys[j] = old.keys[n];
-    old.pcbs[j] = std::move(old.pcbs[n]);
+    old.index[j] = old.index[n];
     j = n;
   }
   old.tags[j] = 0;
-  old.pcbs[j].reset();
 }
 
-std::size_t FlatDemuxer::place(std::uint32_t h, net::FlowKey key,
-                               std::unique_ptr<Pcb> pcb) {
+std::size_t FlatDemuxer::place(std::uint32_t h, std::uint32_t index) {
   std::size_t i = h & mask_;
   std::size_t dist = 0;
   std::size_t max_dist = 0;
@@ -293,8 +285,7 @@ std::size_t FlatDemuxer::place(std::uint32_t h, net::FlowKey key,
       // Rob the rich: the resident is closer to home than we are, so it
       // can better afford the longer walk. Swap and keep placing it.
       std::swap(h, hashes_[i]);
-      std::swap(key, keys_[i]);
-      std::swap(pcb, pcbs_[i]);
+      std::swap(index, index_[i]);
       tags_[i] = tag_of(hashes_[i]);
       dist = d;
     }
@@ -304,8 +295,7 @@ std::size_t FlatDemuxer::place(std::uint32_t h, net::FlowKey key,
   }
   tags_[i] = tag_of(h);
   hashes_[i] = h;
-  keys_[i] = key;
-  pcbs_[i] = std::move(pcb);
+  index_[i] = index;
   return max_dist;
 }
 
@@ -326,17 +316,14 @@ void FlatDemuxer::rehash_with_fresh_seed() {
   options_.hasher.seed = net::next_seed(options_.hasher.seed);
   const std::size_t cap = capacity();
   std::vector<std::uint8_t> old_tags = std::move(tags_);
-  std::vector<net::FlowKey> old_keys = std::move(keys_);
-  std::vector<std::unique_ptr<Pcb>> old_pcbs = std::move(pcbs_);
+  std::vector<std::uint32_t> old_index = std::move(index_);
   tags_.assign(cap, 0);
   hashes_.assign(cap, 0);
-  keys_.assign(cap, net::FlowKey{});
-  pcbs_.clear();
-  pcbs_.resize(cap);
+  index_.assign(cap, 0);
   for (std::size_t i = 0; i < cap; ++i) {
     if (old_tags[i] == 0) continue;
     // Hashes must be recomputed: the seed just changed.
-    place(hash_of(old_keys[i]), old_keys[i], std::move(old_pcbs[i]));
+    place(hash_of(key_at(old_index[i])), old_index[i]);
   }
   watermark_ = max_probe_distance();
   ++overload_rehashes_;
@@ -355,18 +342,22 @@ ResilienceStats FlatDemuxer::resilience() const {
 bool FlatDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
   const Probe p = find_slot(h, key);
+  std::uint32_t index = 0;
   if (p.slot != kNpos) {
+    index = index_[p.slot];
     remove_at(p.slot);
   } else {
     if (old_ == nullptr) return false;
     const Probe q = find_slot_old(h, key);
     if (q.slot == kNpos) return false;
+    index = old_->index[q.slot];
     remove_at_old(q.slot);
     if (--old_->residents == 0) {
       old_.reset();
       telemetry_->on_resize_complete();
     }
   }
+  slab_.release(index);
   --size_;
   telemetry_->on_erase();
   if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
@@ -374,7 +365,6 @@ bool FlatDemuxer::erase(const net::FlowKey& key) {
 }
 
 void FlatDemuxer::remove_at(std::size_t i) {
-  pcbs_[i].reset();
   // Backward shift: slide the rest of the probe run down one slot so no
   // tombstone is needed. The run ends at an empty slot or a resident
   // already sitting in its home slot (which a shift would only hurt).
@@ -384,50 +374,48 @@ void FlatDemuxer::remove_at(std::size_t i) {
     if (tags_[n] == 0 || probe_distance(n) == 0) break;
     tags_[j] = tags_[n];
     hashes_[j] = hashes_[n];
-    keys_[j] = keys_[n];
-    pcbs_[j] = std::move(pcbs_[n]);
+    index_[j] = index_[n];
     j = n;
   }
   tags_[j] = 0;
-  pcbs_[j].reset();
 }
 
 void FlatDemuxer::grow() {
   const std::size_t old_capacity = capacity();
   std::vector<std::uint8_t> old_tags = std::move(tags_);
   std::vector<std::uint32_t> old_hashes = std::move(hashes_);
-  std::vector<net::FlowKey> old_keys = std::move(keys_);
-  std::vector<std::unique_ptr<Pcb>> old_pcbs = std::move(pcbs_);
+  std::vector<std::uint32_t> old_index = std::move(index_);
 
   const std::size_t capacity = old_capacity * 2;
   mask_ = capacity - 1;
   tags_.assign(capacity, 0);
   hashes_.assign(capacity, 0);
-  keys_.assign(capacity, net::FlowKey{});
-  pcbs_.clear();
-  pcbs_.resize(capacity);
+  index_.assign(capacity, 0);
 
   for (std::size_t i = 0; i < old_capacity; ++i) {
     if (old_tags[i] == 0) continue;
-    place(old_hashes[i], old_keys[i], std::move(old_pcbs[i]));
+    place(old_hashes[i], old_index[i]);
   }
 }
 
 LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
                                  SegmentKind /*kind*/) {
   const std::uint32_t h = hash_of(key);
+  // The index line is the second load of a hit; issue it now so it
+  // overlaps the tag-group load instead of following it.
+  prefetch_read(&index_[h & mask_]);
   const Probe p = find_slot(h, key);
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
-    r.pcb = pcbs_[p.slot].get();
+    r.pcb = &slab_.at(index_[p.slot]);
   } else if (old_ != nullptr) [[unlikely]] {
     // Mid-migration a resident may still sit in the draining array; both
     // probes' examined counts are charged (the paper's metric counts every
     // key compared, whichever array holds it).
     const Probe q = find_slot_old(h, key);
     r.examined += q.examined;
-    if (q.slot != kNpos) r.pcb = old_->pcbs[q.slot].get();
+    if (q.slot != kNpos) r.pcb = &slab_.at(old_->index[q.slot]);
   }
   note_lookup(r);
   if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateLookupBatch);
@@ -447,10 +435,12 @@ void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
     }
     return;
   }
-  // Pipeline: hash the whole chunk and issue prefetches for every home
-  // slot's tag and key lines, then probe. By the time the first probe
-  // dereferences its slot the remaining loads are already in flight, so a
-  // burst pays ~one DRAM latency instead of one per packet.
+  // Pipeline: hash the whole chunk and prefetch every home slot's tag and
+  // index lines, then probe. By the time the first probe dereferences its
+  // slot the remaining loads are already in flight, so a burst pays ~one
+  // DRAM latency for them instead of one per packet. (A middle stage that
+  // also prefetched each home slot's PCB measured no clear gain at 2M
+  // PCBs and cost ~15% at 2k.)
   constexpr std::size_t kChunk = 16;
   std::array<std::uint32_t, kChunk> h;
   for (std::size_t base = 0; base < keys.size(); base += kChunk) {
@@ -459,16 +449,13 @@ void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
       h[i] = hash_of(keys[base + i]);
       const std::size_t home = h[i] & mask_;
       prefetch_read(&tags_[home]);
-      prefetch_read(&hashes_[home]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      prefetch_read(&keys_[h[i] & mask_]);
+      prefetch_read(&index_[home]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       const Probe p = find_slot(h[i], keys[base + i]);
       LookupResult r;
       r.examined = p.examined;
-      if (p.slot != kNpos) r.pcb = pcbs_[p.slot].get();
+      if (p.slot != kNpos) r.pcb = &slab_.at(index_[p.slot]);
       note_lookup(r);
       results[base + i] = r;
     }
@@ -485,50 +472,50 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
-    best.pcb = pcbs_[p.slot].get();
+    best.pcb = &slab_.at(index_[p.slot]);
     return best;
   }
   if (old_ != nullptr) {
     const Probe q = find_slot_old(h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
-      best.pcb = old_->pcbs[q.slot].get();
+      best.pcb = &slab_.at(old_->index[q.slot]);
       return best;
     }
   }
   int best_score = -1;
   const auto sweep = [&](const std::vector<std::uint8_t>& tags,
-                         const std::vector<net::FlowKey>& table_keys,
-                         const std::vector<std::unique_ptr<Pcb>>& table_pcbs) {
+                         const std::vector<std::uint32_t>& table_index) {
     for (std::size_t i = 0; i < tags.size(); ++i) {
       if (tags[i] == 0) continue;
       ++best.examined;
-      const int score = table_keys[i].match_score(key);
+      Pcb& pcb = slab_.at(table_index[i]);
+      const int score = pcb.key.match_score(key);
       if (score < 0) continue;
       if (score == 0) {
-        best.pcb = table_pcbs[i].get();
+        best.pcb = &pcb;
         return true;
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
-        best.pcb = table_pcbs[i].get();
+        best.pcb = &pcb;
       }
     }
     return false;
   };
-  if (sweep(tags_, keys_, pcbs_)) return best;
-  if (old_ != nullptr) sweep(old_->tags, old_->keys, old_->pcbs);
+  if (sweep(tags_, index_)) return best;
+  if (old_ != nullptr) sweep(old_->tags, old_->index);
   return best;
 }
 
 void FlatDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
   for (std::size_t i = 0; i <= mask_; ++i) {
-    if (tags_[i] != 0) fn(*pcbs_[i]);
+    if (tags_[i] != 0) fn(slab_.at(index_[i]));
   }
   if (old_ == nullptr) return;
   for (std::size_t i = 0; i <= old_->mask; ++i) {
-    if (old_->tags[i] != 0) fn(*old_->pcbs[i]);
+    if (old_->tags[i] != 0) fn(slab_.at(old_->index[i]));
   }
 }
 
@@ -579,10 +566,12 @@ std::vector<std::size_t> FlatDemuxer::occupancy() const {
 }
 
 std::size_t FlatDemuxer::memory_bytes() const {
+  // Tag, hash, and PCB index: 9 B/slot, paid up front. PCBs are priced
+  // up to the slab's high-water mark — freed cells awaiting reuse are
+  // resident too — but not the mapped, never-touched tail of a chunk.
   constexpr std::size_t kPerSlot =
-      sizeof(std::uint8_t) + sizeof(std::uint32_t) + sizeof(net::FlowKey) +
-      sizeof(std::unique_ptr<Pcb>);
-  std::size_t bytes = size_ * sizeof(Pcb) + sizeof(*this) +
+      sizeof(std::uint8_t) + sizeof(std::uint32_t) + sizeof(std::uint32_t);
+  std::size_t bytes = slab_.bytes_used() + sizeof(*this) +
                       capacity() * kPerSlot;
   if (old_ != nullptr) {
     bytes += sizeof(OldTable) + old_->capacity() * kPerSlot;

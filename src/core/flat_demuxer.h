@@ -10,11 +10,14 @@
 //
 //   * power-of-two slot array, structure-of-arrays layout: a probe walks a
 //     dense 1-byte tag array first, so resolving a slot costs a fraction
-//     of a cache line, not a PCB-sized load;
+//     of a cache line, not a PCB-sized load. A slot is 9 bytes: tag, hash,
+//     and the 32-bit index of its PCB in the table's slab (core/pcb_slab.h);
 //   * the tag holds an occupied bit plus 7 fingerprint bits from the top
-//     of the hash. A key comparison (the 96-bit flow key, in its own dense
-//     array) happens only on a fingerprint match — with 7 bits, ~1/128 of
-//     colliding probes are false positives;
+//     of the hash. A key comparison happens only on a fingerprint match —
+//     with 7 bits, ~1/128 of colliding probes are false positives — and it
+//     reads the key from the PCB itself: line 0 of a 64-byte-aligned PCB,
+//     the line a hit's caller touches next anyway. So "PCBs examined" is
+//     literally the number of PCBs read;
 //   * robin-hood insertion bounds probe-sequence variance (an inserting
 //     key displaces any resident closer to its home slot), which keeps the
 //     early-exit bound on misses tight;
@@ -22,8 +25,9 @@
 //     tombstones, so load factor — and therefore probe length — never
 //     degrades with churn;
 //   * growth doubles the table at 7/8 occupancy and rehashes in place
-//     (amortized O(1) per insert). Pcb objects are individually owned, so
-//     Pcb* stay stable across growth and slot shifts;
+//     (amortized O(1) per insert). Slots move PCB indices, never PCBs, so
+//     a Pcb* stays valid across growth and slot shifts until its own
+//     erase; its slab cell is then reused;
 //   * with Options::incremental the rehash is no longer stop-the-world:
 //     the old slot array is kept behind a drain cursor and every
 //     insert/erase/lookup migrates a bounded batch of residents into the
@@ -51,6 +55,7 @@
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/pcb_slab.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -100,6 +105,9 @@ class FlatDemuxer final : public Demuxer {
   /// While an incremental migration is in flight this is the *new* array's
   /// capacity; the draining old array is extra (see memory_bytes()).
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+
+  /// The PCB storage (test/bench hook: chunk count, high-water mark).
+  [[nodiscard]] const PcbSlab& slab() const noexcept { return slab_; }
 
   bool migration_step() override;
   /// True while an incremental migration is draining the old array.
@@ -171,12 +179,16 @@ class FlatDemuxer final : public Demuxer {
   [[nodiscard]] Probe find_slot_grouped(std::uint32_t h,
                                         const net::FlowKey& key) const noexcept;
 
-  /// Robin-hood placement of a (pre-hashed) entry; the caller has already
-  /// established the key is absent and the load factor is acceptable.
-  /// Returns the longest probe distance the placement walked (the overload
-  /// watermark signal).
-  std::size_t place(std::uint32_t h, net::FlowKey key,
-                    std::unique_ptr<Pcb> pcb);
+  /// The key stored in slab cell `index` (the PCB's own line 0).
+  [[nodiscard]] const net::FlowKey& key_at(std::uint32_t index) const noexcept {
+    return slab_.at(index).key;
+  }
+
+  /// Robin-hood placement of a (pre-hashed) PCB index; the caller has
+  /// already established the key is absent and the load factor is
+  /// acceptable. Returns the longest probe distance the placement walked
+  /// (the overload watermark signal).
+  std::size_t place(std::uint32_t h, std::uint32_t index);
   /// Backward-shift removal of the resident at slot `i`.
   void remove_at(std::size_t i);
   /// Doubles the slot array and re-places every resident (stop-the-world;
@@ -205,8 +217,7 @@ class FlatDemuxer final : public Demuxer {
     std::size_t residents = 0;  ///< entries not yet migrated
     std::vector<std::uint8_t> tags;
     std::vector<std::uint32_t> hashes;
-    std::vector<net::FlowKey> keys;
-    std::vector<std::unique_ptr<Pcb>> pcbs;
+    std::vector<std::uint32_t> index;  ///< PCB slab index per slot
 
     [[nodiscard]] std::size_t capacity() const noexcept { return mask + 1; }
     [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
@@ -251,13 +262,14 @@ class FlatDemuxer final : public Demuxer {
   std::uint64_t grow_retry_in_ = 0;  ///< inserts until the next retry
   // Structure-of-arrays slot storage. Parallel, all sized capacity():
   // a probe touches tags_ (1 B/slot), then hashes_ for the robin-hood
-  // bound (4 B/slot), and keys_ (12 B/slot) only on a fingerprint match.
-  // The PCB itself is touched only when returned to the caller.
+  // bound (4 B/slot), and on a fingerprint match index_ (4 B/slot) and
+  // the PCB it names, whose line 0 holds the key. A hit is a tag group and
+  // an index line, loaded in parallel, then the PCB.
   std::vector<std::uint8_t> tags_;
   std::vector<std::uint32_t> hashes_;
-  std::vector<net::FlowKey> keys_;
-  std::vector<std::unique_ptr<Pcb>> pcbs_;
+  std::vector<std::uint32_t> index_;
   std::unique_ptr<OldTable> old_;  ///< non-null while migrating
+  PcbSlab slab_;  ///< every resident PCB, live and old arrays alike
 };
 
 }  // namespace tcpdemux::core

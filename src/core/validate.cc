@@ -433,10 +433,30 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
     return report;
   }
   if (demuxer.tags_.size() != capacity || demuxer.hashes_.size() != capacity ||
-      demuxer.keys_.size() != capacity || demuxer.pcbs_.size() != capacity) {
+      demuxer.index_.size() != capacity) {
     errors.add("flat: slot arrays are not all sized to capacity ", capacity);
     return report;
   }
+
+  // PCB ownership: the slab's free list names distinct cells below the
+  // high-water mark, and every occupied slot (live or old array) names a
+  // distinct, allocated cell. Checked before any PCB is read, so a planted
+  // bad index is reported instead of dereferenced (a freed cell is
+  // poisoned under ASan).
+  const PcbSlab& slab = demuxer.slab_;
+  const std::uint32_t high_water = slab.high_water();
+  std::vector<bool> freed(high_water, false);
+  for (const std::uint32_t f : slab.free_list()) {
+    if (f >= high_water) {
+      errors.add("flat: slab free list names index ", f,
+                 " at or beyond the high-water mark ", high_water);
+    } else if (freed[f]) {
+      errors.add("flat: slab free list names index ", f, " twice");
+    } else {
+      freed[f] = true;
+    }
+  }
+  std::vector<bool> named(high_water, false);
 
   // Per-table slot checks; the key set is shared across the live and (when
   // migrating) old arrays so a key resident in both is caught as a
@@ -445,33 +465,35 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   const auto check_table =
       [&](const std::vector<std::uint8_t>& tags,
           const std::vector<std::uint32_t>& hashes,
-          const std::vector<net::FlowKey>& slot_keys,
-          const std::vector<std::unique_ptr<Pcb>>& pcbs, std::size_t mask,
+          const std::vector<std::uint32_t>& index, std::size_t mask,
           const char* what) {
         std::size_t occupied = 0;
         const std::size_t cap = mask + 1;
         for (std::size_t i = 0; i < cap; ++i) {
-          if (tags[i] == 0) {
-            if (pcbs[i] != nullptr) {
-              errors.add(what, " slot ", i,
-                         ": empty tag but a PCB is still owned");
-            }
-            continue;
-          }
+          if (tags[i] == 0) continue;
           ++occupied;
-          const Pcb* const pcb = pcbs[i].get();
-          if (pcb == nullptr) {
-            errors.add(what, " slot ", i, ": occupied tag but no PCB");
+          const std::uint32_t idx = index[i];
+          if (idx >= high_water) {
+            errors.add(what, " slot ", i, ": PCB index ", idx,
+                       " is at or beyond the slab high-water mark ",
+                       high_water);
             continue;
           }
-          // Tag <-> hash <-> key agreement: the fingerprint array and the
-          // hash array must both describe the key actually stored in the
-          // slot, or lookups silently stop finding it.
-          if (pcb->key != slot_keys[i]) {
-            errors.add(what, " slot ", i, ": PCB key ", pcb->key.to_string(),
-                       " != slot key ", slot_keys[i].to_string());
+          if (freed[idx]) {
+            errors.add(what, " slot ", i, ": names freed PCB index ", idx);
+            continue;
           }
-          const std::uint32_t h = demuxer.hash_of(slot_keys[i]);
+          if (named[idx]) {
+            errors.add(what, " slot ", i, ": names PCB index ", idx,
+                       " already named by another slot");
+            continue;
+          }
+          named[idx] = true;
+          // Tag <-> hash <-> key agreement: the fingerprint array and the
+          // hash array must both describe the key of the PCB the slot
+          // names, or lookups silently stop finding it.
+          const net::FlowKey& slot_key = slab.at(idx).key;
+          const std::uint32_t h = demuxer.hash_of(slot_key);
           if (hashes[i] != h) {
             errors.add(what, " slot ", i, ": stored hash ", hashes[i],
                        " != hash of stored key ", h);
@@ -500,23 +522,23 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
                          prev_dist, ")");
             }
           }
-          if (!keys.insert(slot_keys[i]).second) {
-            errors.add(what, ": duplicate key ", slot_keys[i].to_string());
+          if (!keys.insert(slot_key).second) {
+            errors.add(what, ": duplicate key ", slot_key.to_string());
           }
         }
         return occupied;
       };
 
   std::size_t occupied =
-      check_table(demuxer.tags_, demuxer.hashes_, demuxer.keys_,
-                  demuxer.pcbs_, demuxer.mask_, "flat");
+      check_table(demuxer.tags_, demuxer.hashes_, demuxer.index_,
+                  demuxer.mask_, "flat");
 
   if (demuxer.old_ != nullptr) {
     const auto& old = *demuxer.old_;
     const std::size_t old_capacity = old.mask + 1;
     if (old.tags.size() != old_capacity ||
         old.hashes.size() != old_capacity ||
-        old.keys.size() != old_capacity || old.pcbs.size() != old_capacity) {
+        old.index.size() != old_capacity) {
       errors.add("flat(old): slot arrays are not all sized to capacity ",
                  old_capacity);
       return report;
@@ -546,7 +568,7 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
       }
     }
     const std::size_t old_occupied = check_table(
-        old.tags, old.hashes, old.keys, old.pcbs, old.mask, "flat(old)");
+        old.tags, old.hashes, old.index, old.mask, "flat(old)");
     if (old_occupied != old.residents) {
       errors.add("flat(old): occupied slots (", old_occupied,
                  ") != residents counter (", old.residents, ")");
@@ -557,6 +579,12 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   if (occupied != demuxer.size_) {
     errors.add("flat: occupied slots (", occupied, ") != size counter (",
                demuxer.size_, ")");
+  }
+  // Every allocated cell is named by exactly one slot: a surplus is a
+  // leaked PCB, a deficit a slot naming a cell the slab thinks is free.
+  if (slab.live() != occupied) {
+    errors.add("flat: slab holds ", slab.live(),
+               " allocated PCBs but the slot arrays name ", occupied);
   }
   // Growth keeps occupancy at or below 7/8; a violation means the next
   // insert was allowed to degrade probe runs past the design bound. While
@@ -930,12 +958,14 @@ std::vector<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
 std::size_t& ValidatorTestAccess::flat_size(FlatDemuxer& d) {
   return d.size_;
 }
+std::vector<std::uint32_t>& ValidatorTestAccess::flat_index(FlatDemuxer& d) {
+  return d.index_;
+}
 void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
                                          std::size_t to) {
   d.tags_[to] = d.tags_[from];
   d.hashes_[to] = d.hashes_[from];
-  d.keys_[to] = d.keys_[from];
-  d.pcbs_[to] = std::move(d.pcbs_[from]);
+  d.index_[to] = d.index_[from];
   d.tags_[from] = 0;
 }
 

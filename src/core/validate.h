@@ -68,8 +68,10 @@ class StructuralValidator {
   static ValidationReport validate(const ConnectionIdDemuxer& demuxer);
   /// RCU variant: caller must be quiescent (no concurrent readers/writers).
   static ValidationReport validate(const RcuSequentDemuxer& demuxer);
-  /// Flat table: tag/key/hash agreement per slot, robin-hood probe-distance
-  /// ordering, occupancy vs size() vs load-factor bound.
+  /// Flat table: PCB ownership (every occupied slot names a distinct,
+  /// allocated slab cell below the high-water mark; the slab holds no
+  /// unnamed PCB), tag/key/hash agreement per slot, robin-hood
+  /// probe-distance ordering, occupancy vs size() vs load-factor bound.
   static ValidationReport validate(const FlatDemuxer& demuxer);
   /// Cuckoo table: tag/key/hash agreement per slot, bucket/alt-bucket
   /// placement, counted-filter soundness (every overflowed resident is
@@ -130,10 +132,12 @@ struct ValidatorTestAccess {
                                       std::uint32_t chain);
   static void rcu_adjust_size(RcuSequentDemuxer& d, std::ptrdiff_t delta);
   /// Flat-table plants: the slot-tag byte (flip a fingerprint bit), the
-  /// size counter, and a whole-slot move (from must be occupied, to empty)
-  /// that breaks the robin-hood probe invariant. Undo by moving back.
+  /// size counter, a slot's PCB index (duplicate, out-of-range, or freed
+  /// index), and a whole-slot move (from must be occupied, to empty) that
+  /// breaks the robin-hood probe invariant. Undo by moving back.
   static std::vector<std::uint8_t>& flat_tags(FlatDemuxer& d);
   static std::size_t& flat_size(FlatDemuxer& d);
+  static std::vector<std::uint32_t>& flat_index(FlatDemuxer& d);
   static void flat_move_slot(FlatDemuxer& d, std::size_t from, std::size_t to);
   /// Cuckoo-table plants: the slot-tag byte (flip a fingerprint bit), the
   /// presence-filter word of a bucket (plant a false negative), the size

@@ -1,7 +1,8 @@
 // FlatDemuxer unit tests: the open-addressing mechanics the shared
 // property/differential suites cannot see from outside — capacity
-// rounding, amortized growth, robin-hood probe-distance bounds, and
-// backward-shift deletion leaving no tombstone residue.
+// rounding, amortized growth, robin-hood probe-distance bounds,
+// backward-shift deletion leaving no tombstone residue, and the PCB slab
+// (alignment, reuse order, memory price, stale-pointer detection).
 #include "core/flat_demuxer.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,17 @@
 
 #include "core/validate.h"
 #include "net/flow_key.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TCPDEMUX_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TCPDEMUX_TEST_ASAN 1
+#endif
+#endif
+#ifndef TCPDEMUX_TEST_ASAN
+#define TCPDEMUX_TEST_ASAN 0
+#endif
 
 namespace tcpdemux::core {
 namespace {
@@ -176,10 +188,66 @@ TEST(FlatDemuxerTest, ForEachSeesExactlyTheResidents) {
 TEST(FlatDemuxerTest, MemoryBytesPricesSlotArraysAndPcbs) {
   FlatDemuxer d(FlatDemuxer::Options{1024});
   const std::size_t empty = d.memory_bytes();
-  // Each slot costs tag + hash + key + pointer, paid up front.
-  EXPECT_GE(empty, 1024 * (1 + 4 + sizeof(net::FlowKey) + sizeof(void*)));
+  // Each slot costs tag + hash + PCB index (9 B), paid up front.
+  EXPECT_EQ(empty, sizeof(FlatDemuxer) + 1024 * (1 + 4 + 4));
   for (std::uint32_t i = 0; i < 100; ++i) d.insert(key(i));
-  EXPECT_GE(d.memory_bytes(), empty + 100 * sizeof(Pcb));
+  // PCBs are priced up to the slab's high-water mark, not the mapped chunk.
+  EXPECT_EQ(d.memory_bytes(), empty + 100 * sizeof(Pcb));
+  // Erased cells stay resident for reuse, and reuse moves nothing.
+  for (std::uint32_t i = 0; i < 50; ++i) d.erase(key(i));
+  EXPECT_EQ(d.memory_bytes(), empty + 100 * sizeof(Pcb));
+  for (std::uint32_t i = 1000; i < 1050; ++i) d.insert(key(i));
+  EXPECT_EQ(d.memory_bytes(), empty + 100 * sizeof(Pcb));
+}
+
+TEST(FlatDemuxerTest, EveryPcbIsCacheLineAligned) {
+  FlatDemuxer d(FlatDemuxer::Options{16});
+  // Enough PCBs to span two slab chunks and several doublings.
+  const std::uint32_t n = PcbSlab::kPcbsPerChunk + 1000;
+  for (std::uint32_t i = 0; i < n; ++i) ASSERT_NE(d.insert(key(i)), nullptr);
+  for (std::uint32_t i = 0; i < n; i += 3) ASSERT_TRUE(d.erase(key(i)));
+  for (std::uint32_t i = 0; i < n; i += 6) ASSERT_NE(d.insert(key(i)), nullptr);
+  EXPECT_EQ(d.slab().chunks(), 2u);
+  std::size_t misaligned = 0;
+  d.for_each_pcb([&](const Pcb& pcb) {
+    if (reinterpret_cast<std::uintptr_t>(&pcb) % 64 != 0) ++misaligned;
+  });
+  EXPECT_EQ(misaligned, 0u) << "a PCB straddles an extra cache line";
+}
+
+TEST(FlatDemuxerTest, ErasedPcbStorageIsReusedLastInFirstOut) {
+  FlatDemuxer d;
+  for (std::uint32_t i = 0; i < 8; ++i) ASSERT_NE(d.insert(key(i)), nullptr);
+  Pcb* const second = d.lookup(key(2)).pcb;
+  Pcb* const fifth = d.lookup(key(5)).pcb;
+  ASSERT_TRUE(d.erase(key(2)));
+  ASSERT_TRUE(d.erase(key(5)));
+  // A Pcb* is valid until its erase; the storage then goes to the next
+  // connection, most recently freed (warmest) first.
+  EXPECT_EQ(d.insert(key(100)), fifth);
+  EXPECT_EQ(d.insert(key(101)), second);
+  EXPECT_EQ(d.slab().high_water(), 8u);
+  EXPECT_EQ(d.lookup(key(100)).pcb->key, key(100));
+  EXPECT_TRUE(StructuralValidator::validate(d).ok());
+}
+
+// Slab memory stays mapped after an erase, so only poisoning lets
+// AddressSanitizer still catch a read through a stale Pcb*.
+TEST(FlatDemuxerDeathTest, ReadThroughErasedPcbIsReportedUnderAsan) {
+#if !TCPDEMUX_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  FlatDemuxer d;
+  Pcb* const stale = d.insert(key(1));
+  ASSERT_NE(stale, nullptr);
+  ASSERT_TRUE(d.erase(key(1)));
+  EXPECT_DEATH(
+      {
+        const volatile std::uint64_t* id = &stale->conn_id;
+        (void)*id;
+      },
+      "use-after-poison");
+#endif
 }
 
 TEST(FlatDemuxerTest, NameReportsCapacityAndHasher) {

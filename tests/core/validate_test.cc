@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
@@ -343,6 +345,71 @@ TEST(ValidateTest, FlatDisplacedSlotBreaksProbeInvariant) {
   ASSERT_TRUE(planted) << "no empty slot broke the probe invariant";
   ValidatorTestAccess::flat_move_slot(demuxer, to, from);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
+}
+
+// Slot -> PCB ownership plants: each rewrites one occupied slot's slab
+// index and leaves tags, hashes, and counters alone.
+std::vector<std::size_t> flat_occupied_slots(FlatDemuxer& demuxer) {
+  std::vector<std::size_t> slots;
+  const auto& tags = ValidatorTestAccess::flat_tags(demuxer);
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    if (tags[i] != 0) slots.push_back(i);
+  }
+  return slots;
+}
+
+void expect_flat_index_plant_reported(FlatDemuxer& demuxer, std::size_t slot,
+                                      std::uint32_t planted,
+                                      const std::string& expected) {
+  auto& index = ValidatorTestAccess::flat_index(demuxer);
+  const std::uint32_t saved = index[slot];
+  index[slot] = planted;
+  const ValidationReport report = StructuralValidator::validate(demuxer);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find(expected), std::string::npos)
+      << report.to_string();
+  index[slot] = saved;
+  EXPECT_EQ(StructuralValidator::validate(demuxer).to_string(), "");
+}
+
+TEST(ValidateTest, FlatDuplicatePcbIndexIsReported) {
+  FlatDemuxer demuxer(FlatDemuxer::Options{64});
+  populate(demuxer, 16);
+  const auto slots = flat_occupied_slots(demuxer);
+  ASSERT_GE(slots.size(), 2u);
+  const std::uint32_t first =
+      ValidatorTestAccess::flat_index(demuxer)[slots[0]];
+  expect_flat_index_plant_reported(demuxer, slots[1], first,
+                                   "already named by another slot");
+}
+
+TEST(ValidateTest, FlatOutOfRangePcbIndexIsReported) {
+  FlatDemuxer demuxer(FlatDemuxer::Options{64});
+  populate(demuxer, 16);
+  const auto slots = flat_occupied_slots(demuxer);
+  // Cells at and past the high-water mark were never handed out (the
+  // chunk is mapped, so a lookup would read a zeroed non-PCB, not fault).
+  expect_flat_index_plant_reported(demuxer, slots[0],
+                                   demuxer.slab().high_water(),
+                                   "beyond the slab high-water mark");
+}
+
+TEST(ValidateTest, FlatFreedPcbIndexIsReported) {
+  FlatDemuxer demuxer(FlatDemuxer::Options{64});
+  populate(demuxer, 16);
+  // Erase one resident: its cell is now on the slab's free list.
+  Pcb* const victim = demuxer.lookup(key(5)).pcb;
+  ASSERT_NE(victim, nullptr);
+  std::uint32_t freed = 0;
+  for (const std::size_t s : flat_occupied_slots(demuxer)) {
+    const std::uint32_t idx = ValidatorTestAccess::flat_index(demuxer)[s];
+    if (&demuxer.slab().at(idx) == victim) freed = idx;
+  }
+  ASSERT_TRUE(demuxer.erase(key(5)));
+  ASSERT_EQ(demuxer.slab().free_list().back(), freed);
+  const auto slots = flat_occupied_slots(demuxer);
+  expect_flat_index_plant_reported(demuxer, slots[0], freed,
+                                   "names freed PCB index");
 }
 
 TEST(ValidateTest, CuckooCorruptTagByteIsReported) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/demux_registry.h"
 #include "core/fault_inject.h"
+#include "core/flat_demuxer.h"
 #include "core/validate.h"
 #include "net/flow_key.h"
 #include "tcp/syn_cache.h"
@@ -73,6 +76,51 @@ TEST(FaultInjector, ResetZeroesCountersDisarmKeepsThem) {
   injector.reset();
   EXPECT_EQ(injector.injected(), 0u);
   EXPECT_EQ(injector.checkpoints(), 0u);
+}
+
+// The flat table's PCB slab maps memory only when every mapped cell is in
+// use, so the insert after exactly one chunk's worth of PCBs is the one
+// that needs a new chunk. Refusing it must leave the table as it was: the
+// same residents at the same addresses, no chunk mapped, validator clean.
+TEST(FaultInjector, FlatRefusedInsertNeedingNewChunkLeavesTableUnchanged) {
+  InjectorGuard guard;
+  auto& injector = FaultInjector::instance();
+  FlatDemuxer demuxer(FlatDemuxer::Options{1024, net::HasherKind::kCrc32});
+  const std::uint32_t n = PcbSlab::kPcbsPerChunk;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ASSERT_NE(demuxer.insert(nth_key(i)), nullptr) << i;
+  }
+  ASSERT_EQ(demuxer.slab().chunks(), 1u);
+  ASSERT_EQ(demuxer.slab().high_water(), n);
+  ASSERT_TRUE(demuxer.slab().free_list().empty());
+  using Residents = std::vector<std::pair<net::FlowKey, const Pcb*>>;
+  const auto residents = [&demuxer] {
+    Residents r;
+    demuxer.for_each_pcb(
+        [&r](const Pcb& pcb) { r.emplace_back(pcb.key, &pcb); });
+    return r;
+  };
+  const Residents before = residents();
+  const std::size_t capacity = demuxer.capacity();
+  const std::size_t memory = demuxer.memory_bytes();
+
+  injector.arm_every(1);
+  EXPECT_EQ(demuxer.insert(nth_key(n)), nullptr);
+  injector.disarm();
+  EXPECT_EQ(injector.injected(), 1u);
+  EXPECT_EQ(demuxer.size(), n);
+  EXPECT_EQ(demuxer.capacity(), capacity);
+  EXPECT_EQ(demuxer.memory_bytes(), memory);
+  EXPECT_EQ(demuxer.slab().chunks(), 1u);
+  EXPECT_EQ(demuxer.slab().high_water(), n);
+  EXPECT_TRUE(residents() == before);
+  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
+  EXPECT_EQ(demuxer.lookup(nth_key(n)).pcb, nullptr);
+
+  // With allocations healthy again the same insert maps the second chunk.
+  ASSERT_NE(demuxer.insert(nth_key(n)), nullptr);
+  EXPECT_EQ(demuxer.slab().chunks(), 2u);
+  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
 }
 
 class InsertFaultTest : public ::testing::TestWithParam<const char*> {};

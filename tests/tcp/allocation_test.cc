@@ -1,6 +1,6 @@
 // Allocation regression test: the steady-state receive path allocates
 // nothing but the one wire buffer per emitted segment that TransmitFn takes
-// by value.
+// by value, and neither does connection churn through a slab-backed table.
 //
 // This binary replaces the global operator new family with a counting
 // forwarder to malloc, so every heap allocation in the process is counted
@@ -110,6 +110,16 @@ std::vector<std::uint8_t> frame(std::uint16_t port, std::uint8_t flags,
   b.from({kClient, port}).to({kServer, kPort}).seq(seq).flags(flags);
   if ((flags & kAck) != 0) b.ack_seq(ack);
   return b.payload_size(payload).build();
+}
+
+/// gtest instance name for a registry spec ("flat16:incremental" ->
+/// "flat16_incremental").
+std::string spec_test_name(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& ch : name) {
+    if (ch == ':') ch = '_';
+  }
+  return name;
 }
 
 /// Allocations made by `op`, and segments it emitted.
@@ -261,13 +271,64 @@ TEST_P(AllocationTest, SteadyStateReceivePathAllocatesOnlyEmittedSegments) {
 INSTANTIATE_TEST_SUITE_P(Specs, AllocationTest,
                          ::testing::Values("flat16:incremental",
                                            "sequent:19:crc32", "cuckoo"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& ch : name) {
-                             if (ch == ':') ch = '_';
-                           }
-                           return name;
-                         });
+                         spec_test_name);
+
+// Connection churn: a SYN-cache completion inserts a PCB, and a passive
+// close plus the reaper erase it. Once the table's PCB slab holds a freed
+// cell, neither step allocates; the only heap traffic left is the wire
+// buffer per emitted segment.
+class ChurnAllocationTest : public AllocationTest {};
+
+TEST_P(ChurnAllocationTest, CompletionAndReapAllocateNothingOnceWarm) {
+  // One tuple, reused once reaped (as ephemeral ports are under churn), so
+  // a sharded table sends every round to the same shard's slab.
+  for (int round = 0; round < 4; ++round) {
+    Conn c;
+    c.port = kFirstPort;
+    c.c_nxt = 1000 + 5000 * static_cast<std::uint32_t>(round);
+    ASSERT_EQ(host_.input(frame(c.port, kSyn, c.c_nxt, 0), now_).status,
+              Delivery::kSynCached);
+    const auto synack = net::Packet::parse(last_);
+    ASSERT_TRUE(synack.has_value());
+    c.c_nxt += 1;
+    const auto ack = frame(c.port, kAck, c.c_nxt, synack->tcp.seq + 1);
+    Delivery got = Delivery::kParseError;
+    const Cost open = cost([&] {
+      const auto r = host_.input(ack, now_);
+      got = r.status;
+      c.pcb = r.pcb;
+    });
+    ASSERT_EQ(got, Delivery::kNewConnection);
+    ASSERT_EQ(host_.table().accept(), c.pcb);
+
+    const auto fin = frame(c.port, kFinAck, c.c_nxt, c.pcb->snd_nxt);
+    const Cost f = input(fin, Delivery::kDelivered);
+    c.c_nxt += 1;
+    const Cost cl = cost([&] { EXPECT_TRUE(host_.table().close(*c.pcb)); });
+    const auto last = frame(c.port, kAck, c.c_nxt, c.pcb->snd_nxt);
+    const Cost l = input(last, Delivery::kDelivered);
+    std::size_t reaped = 0;
+    const Cost reap = cost([&] { reaped = host_.table().reap_closed(); });
+    EXPECT_EQ(reaped, 1u);
+    // Round 0 maps the slab's first chunk and sizes the per-connection
+    // containers; every later completion reuses the cell round 0 freed.
+    if (round == 0) continue;
+    EXPECT_EQ(open.segments, 0u);
+    EXPECT_EQ(open.allocations, 0u) << "SYN-cache completion (insert)";
+    EXPECT_EQ(f.allocations, f.segments) << "FIN";
+    EXPECT_EQ(cl.allocations, cl.segments) << "close";
+    EXPECT_EQ(l.allocations, 0u) << "final ACK";
+    EXPECT_EQ(reap.allocations, 0u) << "reap_closed (erase)";
+  }
+  EXPECT_EQ(host_.table().connection_count(), 0u);
+}
+
+// Only the flat tables own their PCBs through a slab; the other backends
+// still allocate one PCB per insert.
+INSTANTIATE_TEST_SUITE_P(SlabSpecs, ChurnAllocationTest,
+                         ::testing::Values("flat16:incremental", "flat",
+                                           "sharded:2:flat16"),
+                         spec_test_name);
 
 TEST(ReassemblerAllocation, WholeDatagramIsNotCopied) {
   net::Reassembler r;
