@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/demux_registry.h"
+#include "core/pcb.h"
 #include "net/flow_key.h"
 #include "report/bench_json.h"
 #include "report/telemetry_json.h"
@@ -85,6 +87,15 @@ inline void do_not_optimize(T const& value) {
   static volatile T sink;
   sink = value;
 #endif
+}
+
+/// Reads a counter on the PCB's second cache line (0 for a miss). A hit's
+/// caller always reads the PCB next, and a layout that saves lookup lines
+/// by moving work into the PCB touch must pay for it in the same row, so
+/// lookup benches time the lookup plus this read.
+inline std::uint64_t touch_pcb(const core::Pcb* pcb) noexcept {
+  static_assert(offsetof(core::Pcb, segs_in) >= 64, "must be PCB line 1");
+  return pcb != nullptr ? pcb->segs_in : 0;
 }
 
 /// Full compiler barrier: forces pending writes to be considered visible,

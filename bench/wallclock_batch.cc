@@ -8,7 +8,8 @@
 // structures: the flat table (SoA + fingerprint tags, the tentpole), the
 // chained sequent table, the RCU demuxer (one epoch guard per burst), and
 // a chained table with no override (hashed_mtf) as the default-loop
-// baseline.
+// baseline. Both drive modes read each found PCB's second cache line
+// (bench::touch_pcb), as the receive path does next.
 //
 //   wallclock_batch [--smoke] [--json <path>] [--miss-rate <f>]
 //                   [--sizes <a,b,...>]
@@ -95,7 +96,8 @@ int main(int argc, char** argv) {
           kBurst,
           [&] {
             for (std::size_t j = 0; j < kBurst; ++j) {
-              bench::do_not_optimize(demuxer->lookup(stream[i + j]).pcb);
+              bench::do_not_optimize(
+                  bench::touch_pcb(demuxer->lookup(stream[i + j]).pcb));
             }
             i = (i + kBurst) & (kStreamLen - 1);
           },
@@ -107,7 +109,9 @@ int main(int argc, char** argv) {
           kBurst,
           [&] {
             demuxer->lookup_batch({stream.data() + i, kBurst}, results);
-            bench::do_not_optimize(results[0].pcb);
+            for (const core::LookupResult& r : results) {
+              bench::do_not_optimize(bench::touch_pcb(r.pcb));
+            }
             i = (i + kBurst) & (kStreamLen - 1);
           },
           opts.timing());

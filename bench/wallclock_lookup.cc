@@ -6,6 +6,9 @@
 // TPC/A-distributed arrival sequence through the shared calibrated timing
 // loop (bench_util.h); the table reports ns/lookup next to the mean PCBs
 // examined so their proportionality is visible directly in the output.
+// A timed hit also reads the found PCB's second cache line
+// (bench::touch_pcb), as the receive path does next, so layouts that read
+// the key from the PCB are ranked by what a hit really costs.
 //
 // The linear-scan algorithms (bsd, mtf, srcache) and the paper's fixed
 // 19-chain configurations are capped at 20 k connections: their O(n)
@@ -27,7 +30,7 @@
 //
 // --telemetry additionally dumps each measured demuxer's telemetry
 // registry (counters + examined-PCB histograms + occupancy) as a
-// tcpdemux.telemetry.v1 JSON array, so a timing run doubles as a
+// tcpdemux.telemetry.v2 JSON array, so a timing run doubles as a
 // distribution capture. Histograms are enabled only on that flag; the
 // timed path otherwise runs counters-only, exactly as shipped.
 #include <cstdio>
@@ -159,7 +162,8 @@ int main(int argc, char** argv) {
                   misses.next_is_miss()
                       ? absent[mi++ & (absent.size() - 1)]
                       : fx.keys[conn];
-              bench::do_not_optimize(fx.demuxer->lookup(key, kind).pcb);
+              bench::do_not_optimize(
+                  bench::touch_pcb(fx.demuxer->lookup(key, kind).pcb));
               if (++i == n) i = 0;
             }
           },

@@ -31,7 +31,9 @@
 // Hugepage axis: on Linux each population size runs twice, with
 // transparent hugepages left at the system default and with THP disabled
 // for the process (prctl PR_SET_THP_DISABLE) — the growth phase touches
-// fresh arrays, so TLB fill cost is part of the resize story.
+// fresh arrays, so TLB fill cost is part of the resize story. Only the
+// flat/flat16 tables map huge-page-advised memory (core/huge_pages.h), so
+// on a host whose THP mode is `madvise` only their cells differ.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

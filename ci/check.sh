@@ -119,7 +119,7 @@ if [[ "${SKIP_TELEMETRY:-0}" != "1" ]]; then
   fi
   cmake --build "$ROOT/build" -j "$JOBS" --target telemetry_dump
   # Short TPC/A replay (200 users) with interval series + sampled latency;
-  # the exported JSON must satisfy the tcpdemux.telemetry.v1 schema.
+  # the exported JSON must satisfy the tcpdemux.telemetry.v2 schema.
   "$ROOT/build/examples/telemetry_dump" sequent:19:crc32 200 500 \
       "$ROOT/build/telemetry.smoke.json" > /dev/null
   python3 "$ROOT/tools/telemetry/validate_schema.py" \

@@ -75,6 +75,7 @@ struct ResilienceStats {
   std::uint64_t inserts_shed = 0;       ///< inserts refused at max_pcbs cap
   std::uint64_t watermark = 0;       ///< worst chain length / probe distance
   std::uint64_t watermark_limit = 0;  ///< current overload trigger threshold
+  std::uint64_t inserts_refused = 0;  ///< inserts the allocator refused
 };
 
 /// Abstract PCB-lookup algorithm. Owns its PCBs.
@@ -115,6 +116,14 @@ class Demuxer {
       results[i] = lookup(keys[i], kind);
     }
   }
+
+  /// Hints that a lookup() of `key` follows shortly, so an implementation
+  /// may start that lookup's first memory loads now and overlap them with
+  /// the caller's own work (the receive path calls it before parsing and
+  /// checksumming the frame). Changes nothing observable: no stats,
+  /// telemetry, cache or list order, migration step or allocation. The
+  /// default does nothing.
+  virtual void prefetch(const net::FlowKey& key) const noexcept { (void)key; }
 
   /// Notes that the host transmitted a segment on `pcb`'s connection.
   /// Only the send/receive-cache algorithm observes this (its "last sent"

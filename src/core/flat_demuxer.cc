@@ -29,9 +29,9 @@ FlatDemuxer::FlatDemuxer(Options options) : options_(options) {
   const std::size_t capacity =
       round_up_pow2(std::max(options_.initial_capacity, kMinCapacity));
   mask_ = capacity - 1;
-  tags_.assign(capacity, 0);
-  hashes_.assign(capacity, 0);
-  index_.assign(capacity, 0);
+  tags_ = Tags(capacity);
+  hashes_ = Words(capacity);
+  index_ = Words(capacity);
 }
 
 FlatDemuxer::Probe FlatDemuxer::find_slot(
@@ -108,6 +108,8 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
   // mutation so a refusal (injected, or the kernel declining a chunk)
   // leaves the table exactly as it was.
   if (FaultInjector::instance().poll_alloc() || !slab_.reserve_one()) {
+    ++inserts_refused_;
+    telemetry_->on_refuse();
     return nullptr;
   }
   maybe_grow();
@@ -156,14 +158,14 @@ bool FlatDemuxer::start_migration() {
   }
   const std::size_t cap = capacity() * 2;
   std::unique_ptr<OldTable> old;
-  std::vector<std::uint8_t> tags;
-  std::vector<std::uint32_t> hashes;
-  std::vector<std::uint32_t> index;
+  Tags tags;
+  Words hashes;
+  Words index;
   try {
     old = std::make_unique<OldTable>();
-    tags.assign(cap, 0);
-    hashes.assign(cap, 0);
-    index.assign(cap, 0);
+    tags = Tags(cap);
+    hashes = Words(cap);
+    index = Words(cap);
   } catch (const std::bad_alloc&) {
     defer_migration();
     return false;
@@ -315,11 +317,11 @@ void FlatDemuxer::rehash_with_fresh_seed() {
   finish_migration();
   options_.hasher.seed = net::next_seed(options_.hasher.seed);
   const std::size_t cap = capacity();
-  std::vector<std::uint8_t> old_tags = std::move(tags_);
-  std::vector<std::uint32_t> old_index = std::move(index_);
-  tags_.assign(cap, 0);
-  hashes_.assign(cap, 0);
-  index_.assign(cap, 0);
+  const Tags old_tags = std::move(tags_);
+  const Words old_index = std::move(index_);
+  tags_ = Tags(cap);
+  hashes_ = Words(cap);
+  index_ = Words(cap);
   for (std::size_t i = 0; i < cap; ++i) {
     if (old_tags[i] == 0) continue;
     // Hashes must be recomputed: the seed just changed.
@@ -336,7 +338,8 @@ void FlatDemuxer::rehash_with_fresh_seed() {
 }
 
 ResilienceStats FlatDemuxer::resilience() const {
-  return {overload_rehashes_, inserts_shed_, watermark_, watermark_limit()};
+  return {overload_rehashes_, inserts_shed_, watermark_, watermark_limit(),
+          inserts_refused_};
 }
 
 bool FlatDemuxer::erase(const net::FlowKey& key) {
@@ -382,20 +385,26 @@ void FlatDemuxer::remove_at(std::size_t i) {
 
 void FlatDemuxer::grow() {
   const std::size_t old_capacity = capacity();
-  std::vector<std::uint8_t> old_tags = std::move(tags_);
-  std::vector<std::uint32_t> old_hashes = std::move(hashes_);
-  std::vector<std::uint32_t> old_index = std::move(index_);
+  const Tags old_tags = std::move(tags_);
+  const Words old_hashes = std::move(hashes_);
+  const Words old_index = std::move(index_);
 
   const std::size_t capacity = old_capacity * 2;
   mask_ = capacity - 1;
-  tags_.assign(capacity, 0);
-  hashes_.assign(capacity, 0);
-  index_.assign(capacity, 0);
+  tags_ = Tags(capacity);
+  hashes_ = Words(capacity);
+  index_ = Words(capacity);
 
   for (std::size_t i = 0; i < old_capacity; ++i) {
     if (old_tags[i] == 0) continue;
     place(old_hashes[i], old_index[i]);
   }
+}
+
+void FlatDemuxer::prefetch(const net::FlowKey& key) const noexcept {
+  const std::size_t home = hash_of(key) & mask_;
+  prefetch_read(&tags_[home]);
+  prefetch_read(&index_[home]);
 }
 
 LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
@@ -484,8 +493,7 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
     }
   }
   int best_score = -1;
-  const auto sweep = [&](const std::vector<std::uint8_t>& tags,
-                         const std::vector<std::uint32_t>& table_index) {
+  const auto sweep = [&](const Tags& tags, const Words& table_index) {
     for (std::size_t i = 0; i < tags.size(); ++i) {
       if (tags[i] == 0) continue;
       ++best.examined;
@@ -539,8 +547,7 @@ std::vector<std::size_t> FlatDemuxer::occupancy() const {
   // in two; a full table is one run. During a migration the old array's
   // runs are appended after the live array's, so the total still sums to
   // size() and skew reflects both generations.
-  const auto append_runs = [&runs](const std::vector<std::uint8_t>& tags,
-                                   std::size_t mask) {
+  const auto append_runs = [&runs](const Tags& tags, std::size_t mask) {
     const std::size_t cap = mask + 1;
     std::size_t start = 0;
     while (start < cap && tags[start] != 0) ++start;

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/huge_pages.h"
 #include "core/pcb_slab.h"
 #include "net/hashers.h"
 
@@ -95,6 +96,9 @@ class FlatDemuxer final : public Demuxer {
                     std::span<LookupResult> results,
                     SegmentKind kind) override;
   LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  /// Hashes `key` and prefetches its home tag and index lines in the live
+  /// array: the first loads of a lookup() of the same key.
+  void prefetch(const net::FlowKey& key) const noexcept override;
   [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
@@ -145,6 +149,10 @@ class FlatDemuxer final : public Demuxer {
  private:
   friend class StructuralValidator;   // src/core/validate.h
   friend struct ValidatorTestAccess;  // negative validator tests only
+
+  /// Slot arrays: huge-page backed from 2 MiB up (core/huge_pages.h).
+  using Tags = SlotArray<std::uint8_t>;
+  using Words = SlotArray<std::uint32_t>;
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   static constexpr std::size_t kMinCapacity = 16;
@@ -215,9 +223,9 @@ class FlatDemuxer final : public Demuxer {
     std::size_t mask = 0;
     std::size_t cursor = 0;     ///< slots [0, cursor) are drained
     std::size_t residents = 0;  ///< entries not yet migrated
-    std::vector<std::uint8_t> tags;
-    std::vector<std::uint32_t> hashes;
-    std::vector<std::uint32_t> index;  ///< PCB slab index per slot
+    Tags tags;
+    Words hashes;
+    Words index;  ///< PCB slab index per slot
 
     [[nodiscard]] std::size_t capacity() const noexcept { return mask + 1; }
     [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
@@ -254,6 +262,7 @@ class FlatDemuxer final : public Demuxer {
   std::uint64_t watermark_ = 0;
   std::uint64_t overload_rehashes_ = 0;
   std::uint64_t inserts_shed_ = 0;
+  std::uint64_t inserts_refused_ = 0;  ///< no cell: allocator refused
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   // Degradation-ladder state (incremental mode only).
@@ -265,9 +274,9 @@ class FlatDemuxer final : public Demuxer {
   // bound (4 B/slot), and on a fingerprint match index_ (4 B/slot) and
   // the PCB it names, whose line 0 holds the key. A hit is a tag group and
   // an index line, loaded in parallel, then the PCB.
-  std::vector<std::uint8_t> tags_;
-  std::vector<std::uint32_t> hashes_;
-  std::vector<std::uint32_t> index_;
+  Tags tags_;
+  Words hashes_;
+  Words index_;
   std::unique_ptr<OldTable> old_;  ///< non-null while migrating
   PcbSlab slab_;  ///< every resident PCB, live and old arrays alike
 };

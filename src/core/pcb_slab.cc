@@ -1,10 +1,11 @@
 #include "core/pcb_slab.h"
 
 #include <sanitizer/asan_interface.h>
-#include <sys/mman.h>
 
 #include <memory>
 #include <type_traits>
+
+#include "core/huge_pages.h"
 
 namespace tcpdemux::core {
 
@@ -15,9 +16,8 @@ static_assert(PcbSlab::kChunkBytes % sizeof(Pcb) == 0);
 static_assert(sizeof(Pcb) % 64 == 0, "cells must stay cache-line aligned");
 
 PcbSlab::~PcbSlab() {
-  for (Pcb* chunk : chunks_) {
-    ASAN_UNPOISON_MEMORY_REGION(chunk, kChunkBytes);
-    munmap(chunk, kChunkBytes);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    unmap_pages(chunks_[c], kChunkBytes, huge_chunk(c));
   }
 }
 
@@ -32,9 +32,8 @@ bool PcbSlab::reserve_one() {
   } catch (const std::bad_alloc&) {
     return false;  // only capacity moved; the slab's contents are unchanged
   }
-  void* const chunk = mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (chunk == MAP_FAILED) return false;
+  void* const chunk = map_pages(kChunkBytes, huge_chunk(chunks_.size()));
+  if (chunk == nullptr) return false;
   ASAN_POISON_MEMORY_REGION(chunk, kChunkBytes);
   chunks_.push_back(static_cast<Pcb*>(chunk));
   return true;

@@ -3,8 +3,11 @@
 // A table that owns its PCBs one `make_unique` at a time pays twice: every
 // insert is a malloc, and every PCB is a 144-byte malloc chunk at a 16-byte
 // offset, so a 128-byte PCB usually straddles three cache lines. The slab
-// instead carves 2 MiB chunks, mapped straight from the kernel so that an
-// untouched tail costs no resident memory, into 128-byte cells. Every cell
+// instead carves 2 MiB chunks, mapped straight from the kernel
+// (core/huge_pages.h), into 128-byte cells. The first chunk uses base
+// pages, so a small table's untouched tail costs no resident memory; every
+// later chunk is one 2 MiB-aligned huge page, so a large table's PCB
+// touches do not each pay a page walk. Every cell
 // is 64-byte aligned, so every PCB is exactly its two cache lines, and it
 // is named by a dense 32-bit index that the table stores instead of an
 // owning pointer (Cuckoo++ [LeS17]: store a value index, not a pointer).
@@ -82,7 +85,12 @@ class PcbSlab {
   }
 
  private:
-  std::vector<Pcb*> chunks_;         ///< each kChunkBytes, page-aligned
+  /// Whether chunk `c` is huge-page backed: every chunk but the first.
+  [[nodiscard]] static constexpr bool huge_chunk(std::size_t c) noexcept {
+    return c != 0;
+  }
+
+  std::vector<Pcb*> chunks_;  ///< each kChunkBytes; all but [0] 2 MiB-aligned
   std::vector<std::uint32_t> free_;  ///< LIFO; capacity == mapped cells
   std::uint32_t high_water_ = 0;
 };

@@ -197,6 +197,7 @@ ResilienceStats ShardedDemuxer::resilience() const {
     const ResilienceStats r = shard->resilience();
     total.overload_rehashes += r.overload_rehashes;
     total.inserts_shed += r.inserts_shed;
+    total.inserts_refused += r.inserts_refused;
     total.watermark = std::max(total.watermark, r.watermark);
     total.watermark_limit = std::max(total.watermark_limit, r.watermark_limit);
   }

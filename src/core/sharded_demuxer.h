@@ -63,6 +63,10 @@ class ShardedDemuxer : public Demuxer {
                     SegmentKind kind = SegmentKind::kData) override;
   void note_sent(Pcb* pcb) override;
   LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  /// Forwards to the key's home shard (mis-steered flows go unprefetched).
+  void prefetch(const net::FlowKey& key) const noexcept override {
+    shards_[home_shard(key)]->prefetch(key);
+  }
   [[nodiscard]] std::size_t size() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
   void for_each_pcb(

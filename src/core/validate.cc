@@ -463,9 +463,8 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   // duplicate. Returns the table's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
   const auto check_table =
-      [&](const std::vector<std::uint8_t>& tags,
-          const std::vector<std::uint32_t>& hashes,
-          const std::vector<std::uint32_t>& index, std::size_t mask,
+      [&](const FlatDemuxer::Tags& tags, const FlatDemuxer::Words& hashes,
+          const FlatDemuxer::Words& index, std::size_t mask,
           const char* what) {
         std::size_t occupied = 0;
         const std::size_t cap = mask + 1;
@@ -952,13 +951,13 @@ void ValidatorTestAccess::rcu_adjust_size(RcuSequentDemuxer& d,
                 std::memory_order_relaxed);
 }
 
-std::vector<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
+SlotArray<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
   return d.tags_;
 }
 std::size_t& ValidatorTestAccess::flat_size(FlatDemuxer& d) {
   return d.size_;
 }
-std::vector<std::uint32_t>& ValidatorTestAccess::flat_index(FlatDemuxer& d) {
+SlotArray<std::uint32_t>& ValidatorTestAccess::flat_index(FlatDemuxer& d) {
   return d.index_;
 }
 void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,

@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "core/huge_pages.h"
+
 namespace tcpdemux::core {
 
 class PcbList;
@@ -135,9 +137,9 @@ struct ValidatorTestAccess {
   /// size counter, a slot's PCB index (duplicate, out-of-range, or freed
   /// index), and a whole-slot move (from must be occupied, to empty) that
   /// breaks the robin-hood probe invariant. Undo by moving back.
-  static std::vector<std::uint8_t>& flat_tags(FlatDemuxer& d);
+  static SlotArray<std::uint8_t>& flat_tags(FlatDemuxer& d);
   static std::size_t& flat_size(FlatDemuxer& d);
-  static std::vector<std::uint32_t>& flat_index(FlatDemuxer& d);
+  static SlotArray<std::uint32_t>& flat_index(FlatDemuxer& d);
   static void flat_move_slot(FlatDemuxer& d, std::size_t from, std::size_t to);
   /// Cuckoo-table plants: the slot-tag byte (flip a fingerprint bit), the
   /// presence-filter word of a bucket (plant a false negative), the size

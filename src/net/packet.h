@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "net/byte_order.h"
 #include "net/flow_key.h"
 #include "net/headers.h"
 #include "net/ip_addr.h"
@@ -31,6 +32,19 @@ struct Packet {
   /// bad TCP checksum. Copies nothing but the headers.
   [[nodiscard]] static std::optional<Packet> parse(
       std::span<const std::uint8_t> wire);
+
+  /// The receiver's flow key read straight from the addresses and ports of
+  /// an IPv4/TCP frame, with nothing verified; nullopt if the frame is too
+  /// short to hold them. Equals parse()'s receiver_flow_key() whenever
+  /// parse() succeeds (it refuses IPv4 options, so TCP starts at byte 20).
+  /// A hint for starting the demux lookup early, never a substitute.
+  [[nodiscard]] static std::optional<FlowKey> peek_receiver_flow_key(
+      std::span<const std::uint8_t> wire) noexcept {
+    if (wire.size() < Ipv4Header::kSize + 4) return std::nullopt;
+    const std::uint8_t* const p = wire.data();
+    return FlowKey{Ipv4Addr(load_be32(p + 16)), load_be16(p + 22),
+                   Ipv4Addr(load_be32(p + 12)), load_be16(p + 20)};
+  }
 };
 
 /// Builds wire-format TCP/IPv4 packets with correct lengths and checksums.

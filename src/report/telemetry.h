@@ -103,6 +103,7 @@ struct TelemetryCounters {
   std::uint64_t inserts = 0;       ///< successful PCB registrations
   std::uint64_t erases = 0;        ///< successful PCB removals
   std::uint64_t inserts_shed = 0;  ///< inserts refused at a max_pcbs cap
+  std::uint64_t inserts_refused = 0;  ///< inserts the allocator refused
   std::uint64_t rehashes = 0;      ///< overload-triggered seed rotations
   // Incremental-resize ledger (growing backends with `incremental` only;
   // see DESIGN.md "Incremental resize & degradation ladder").
@@ -144,6 +145,7 @@ class Telemetry {
   void on_insert() noexcept { ++counters_.inserts; }
   void on_erase() noexcept { ++counters_.erases; }
   void on_shed() noexcept { ++counters_.inserts_shed; }
+  void on_refuse() noexcept { ++counters_.inserts_refused; }
   void on_rehash() noexcept { ++counters_.rehashes; }
 
   // Incremental-resize events (growing backends with `incremental`).
@@ -218,6 +220,7 @@ class Telemetry {
     counters_.inserts += other.counters_.inserts;
     counters_.erases += other.counters_.erases;
     counters_.inserts_shed += other.counters_.inserts_shed;
+    counters_.inserts_refused += other.counters_.inserts_refused;
     counters_.rehashes += other.counters_.rehashes;
     counters_.resizes_started += other.counters_.resizes_started;
     counters_.resizes_completed += other.counters_.resizes_completed;

@@ -53,7 +53,7 @@ void append_histogram(std::ostringstream& os, const char* name,
 }
 
 void append_report(std::ostringstream& os, const TelemetryReport& r) {
-  os << "{\"schema\": \"tcpdemux.telemetry.v1\", \"source\": ";
+  os << "{\"schema\": \"tcpdemux.telemetry.v2\", \"source\": ";
   append_escaped(os, r.source);
   os << ", \"algorithm\": ";
   append_escaped(os, r.algorithm);
@@ -63,6 +63,7 @@ void append_report(std::ostringstream& os, const TelemetryReport& r) {
      << ", \"found\": " << c.found << ", \"cache_hits\": " << c.cache_hits
      << ", \"inserts\": " << c.inserts << ", \"erases\": " << c.erases
      << ", \"inserts_shed\": " << c.inserts_shed
+     << ", \"inserts_refused\": " << c.inserts_refused
      << ", \"rehashes\": " << c.rehashes
      << ", \"resizes_started\": " << c.resizes_started
      << ", \"resizes_completed\": " << c.resizes_completed

@@ -1,14 +1,14 @@
 // JSON and CSV export for the telemetry registry (report/telemetry.h).
 //
-// Schema "tcpdemux.telemetry.v1" — one object per instrumented demuxer:
+// Schema "tcpdemux.telemetry.v2" — one object per instrumented demuxer:
 //
 //   {
-//     "schema": "tcpdemux.telemetry.v1",
+//     "schema": "tcpdemux.telemetry.v2",
 //     "source": "sim/replay",              // who produced the report
 //     "algorithm": "sequent(h=19,crc32)",  // Demuxer::name()
 //     "counters": {"lookups": N, "found": N, "cache_hits": N,
 //                  "inserts": N, "erases": N, "inserts_shed": N,
-//                  "rehashes": N, "resizes_started": N,
+//                  "inserts_refused": N, "rehashes": N, "resizes_started": N,
 //                  "resizes_completed": N, "resizes_deferred": N,
 //                  "resize_steps": N},
 //     "examined":     {"count": N, "sum": N, "max": N, "buckets": [...]},

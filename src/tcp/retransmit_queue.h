@@ -54,6 +54,9 @@ class RetransmitQueue {
   /// Bytes (plus SYN/FIN units) still unacknowledged.
   [[nodiscard]] std::uint64_t outstanding() const noexcept;
 
+  /// The oldest outstanding segment. Requires !empty().
+  [[nodiscard]] const Segment& front() const noexcept { return at(0); }
+
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 

@@ -60,6 +60,13 @@ SocketTable::TimerRecord& SocketTable::timer_record(Pcb& pcb) {
   return records_[pcb.timer_record];
 }
 
+void SocketTable::rearm(TimerRecord& record, const Pcb& pcb) noexcept {
+  record.due = record.retransmit.empty()
+                   ? TimerRecord::kNever
+                   : record.retransmit.front().last_sent + pcb.rto_us / 1e6 -
+                         kDueSlack;
+}
+
 void SocketTable::release_timer_record(Pcb& pcb) noexcept {
   const std::uint32_t i = pcb.timer_record;
   if (i == Pcb::kNoTimerRecord) return;
@@ -71,6 +78,7 @@ void SocketTable::release_timer_record(Pcb& pcb) noexcept {
   }
   TimerRecord& freed = records_[last];
   freed.pcb = nullptr;
+  freed.due = TimerRecord::kNever;
   freed.retransmit.clear();
   freed.closing_since.reset();
 }
@@ -107,6 +115,11 @@ const SocketTable::Listener* SocketTable::find_listener(
 
 SocketTable::DeliverResult SocketTable::deliver_wire(
     std::span<const std::uint8_t> wire) {
+  // Start the lookup's first DRAM loads now so they overlap the header
+  // parse and both checksums instead of following them.
+  if (const auto key = net::Packet::peek_receiver_flow_key(wire)) {
+    demuxer_->prefetch(*key);
+  }
   const auto packet = net::Packet::parse(wire);
   if (!packet) {
     ++counters_.parse_errors;
@@ -242,6 +255,7 @@ void SocketTable::note_acked(Pcb& pcb) {
       resend = queue.take_front(clock_());
     }
   }
+  rearm(record, pcb);
   if (queue.empty() && !record.closing_since) release_timer_record(pcb);
   // Last: the transmit callback may grow records_, invalidating `record`.
   if (resend) retransmit_segment(pcb, *resend);
@@ -277,6 +291,7 @@ std::size_t SocketTable::poll_retransmits() {
   for (std::size_t i = live_records_; i-- > 0;) {
     if (i >= live_records_) continue;  // freed by a callback
     TimerRecord& record = records_[i];
+    if (now < record.due) continue;  // touches neither the PCB nor the ring
     Pcb& pcb = *record.pcb;
     // Classic RTO behavior: resend only the oldest outstanding segment and
     // back the timer off once; the cumulative ACK it provokes re-arms
@@ -285,6 +300,7 @@ std::size_t SocketTable::poll_retransmits() {
     const auto segment = record.retransmit.take_expired(now, pcb.rto_us / 1e6);
     if (!segment) continue;
     pcb.rto_us = std::min<std::uint32_t>(pcb.rto_us * 2, 60'000'000u);
+    rearm(record, pcb);
     ++resent;
     retransmit_segment(pcb, *segment);  // neither record nor pcb used after
   }
@@ -303,7 +319,9 @@ void SocketTable::transmit_segment(Pcb& pcb, const Emit& emit) {
     builder.ack_seq(emit.ack);
   }
   if (clock_ && emit.payload_len > 0) {
-    timer_record(pcb).retransmit.on_send(emit.seq, emit.payload_len, clock_());
+    TimerRecord& record = timer_record(pcb);
+    record.retransmit.on_send(emit.seq, emit.payload_len, clock_());
+    rearm(record, pcb);
   }
   demuxer_->note_sent(&pcb);
   transmit_(builder.build(), pcb);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -185,10 +186,23 @@ class SocketTable {
   /// record into its place, and the freed one keeps its queue's storage for
   /// the next connection to take it.
   struct TimerRecord {
+    static constexpr double kNever = std::numeric_limits<double>::infinity();
     core::Pcb* pcb = nullptr;  ///< owner; nullptr while free
+    /// No retransmission can be due before this time: the oldest
+    /// segment's deadline (last sent + the PCB's RTO) less kDueSlack, or
+    /// kNever with nothing outstanding. poll_retransmits skips a record
+    /// before it without reading the PCB or the queue's ring; the exact
+    /// expiry test stays RetransmitQueue::take_expired's.
+    double due = kNever;
     RetransmitQueue retransmit;
     std::optional<double> closing_since;  ///< entered TIME_WAIT/CLOSED
   };
+  /// Slack that keeps TimerRecord::due below the exact deadline despite
+  /// rounding (far above a double's error at any plausible clock value).
+  static constexpr double kDueSlack = 1e-6;
+  /// Recomputes `record.due` after its queue's oldest segment or its PCB's
+  /// RTO changed.
+  static void rearm(TimerRecord& record, const core::Pcb& pcb) noexcept;
   /// The PCB's record, taking a free one if it has none.
   TimerRecord& timer_record(core::Pcb& pcb);
   /// Frees the PCB's record, if any.

@@ -91,7 +91,7 @@ class SynCache {
   /// Registry-typed telemetry, same shape as Demuxer::telemetry():
   /// lookups/found track find() calls, examined counts embryos scanned,
   /// inserts/erases track add/take/expire, inserts_shed the global-cap
-  /// kills. Exports through the same tcpdemux.telemetry.v1 schema.
+  /// kills. Exports through the same tcpdemux.telemetry.v2 schema.
   [[nodiscard]] const report::Telemetry& telemetry() const noexcept {
     return telemetry_;
   }

@@ -154,7 +154,7 @@ TEST(TelemetryJson, ExportsSchemaFields) {
       interval_sample(8, r.telemetry, Telemetry{}, r.occupancy));
 
   const std::string json = telemetry_to_json(r);
-  EXPECT_NE(json.find("\"schema\": \"tcpdemux.telemetry.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"tcpdemux.telemetry.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"algorithm\": \"bsd\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -253,6 +253,7 @@ TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
   b.on_lookup(7, false, false);
   b.on_insert();
   b.on_insert();
+  b.on_refuse();
   b.on_resize_defer();
 
   Telemetry merged;
@@ -265,6 +266,7 @@ TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
   EXPECT_EQ(merged.counters().inserts, 3u);
   EXPECT_EQ(merged.counters().erases, 1u);
   EXPECT_EQ(merged.counters().inserts_shed, 1u);
+  EXPECT_EQ(merged.counters().inserts_refused, 1u);
   EXPECT_EQ(merged.counters().rehashes, 1u);
   EXPECT_EQ(merged.counters().resizes_started, 1u);
   EXPECT_EQ(merged.counters().resizes_completed, 1u);

@@ -116,11 +116,17 @@ TEST(FaultInjector, FlatRefusedInsertNeedingNewChunkLeavesTableUnchanged) {
   EXPECT_TRUE(residents() == before);
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
   EXPECT_EQ(demuxer.lookup(nth_key(n)).pcb, nullptr);
+  // Counted as an allocator refusal, not as a shed.
+  EXPECT_EQ(demuxer.resilience().inserts_refused, 1u);
+  EXPECT_EQ(demuxer.telemetry().counters().inserts_refused, 1u);
+  EXPECT_EQ(demuxer.resilience().inserts_shed, 0u);
+  EXPECT_EQ(demuxer.telemetry().counters().inserts_shed, 0u);
 
   // With allocations healthy again the same insert maps the second chunk.
   ASSERT_NE(demuxer.insert(nth_key(n)), nullptr);
   EXPECT_EQ(demuxer.slab().chunks(), 2u);
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
+  EXPECT_EQ(demuxer.resilience().inserts_refused, 1u);
 }
 
 class InsertFaultTest : public ::testing::TestWithParam<const char*> {};

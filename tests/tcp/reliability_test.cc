@@ -129,6 +129,38 @@ TEST_F(ReliabilityTest, RtoBacksOffAcrossTimeouts) {
   EXPECT_EQ(pcb->rto_us, base_rto * 4);
 }
 
+// poll_retransmits skips records by a cached lower bound on their
+// deadline. When the oldest segment changes to one sent earlier than the
+// retransmitted one, and the RTO falls back from its backed-off value,
+// the bound must fall with them: the second segment is still due exactly
+// at its own deadline.
+TEST_F(ReliabilityTest, RetransmitDueExactlyAtDeadlineAfterOldestSegmentChanges) {
+  core::Pcb* pcb = establish();
+  ASSERT_EQ(pcb->srtt_us, 0u);
+  const double rto = pcb->rto_us / 1e6;
+  client_.send_data(*pcb, 100);  // A, sent at 0
+  now_ = 0.5;
+  client_.send_data(*pcb, 100);  // B, sent at 0.5
+  to_server_.clear();            // both lost
+
+  now_ = rto - 0.001;
+  EXPECT_EQ(client_.poll_retransmits(), 0u);
+  now_ = rto;
+  EXPECT_EQ(client_.poll_retransmits(), 1u);  // A resent; RTO doubles
+  EXPECT_EQ(pcb->rto_us / 1e6, 2 * rto);
+  pump();  // A arrives, its ACK returns: B is now the oldest, RTO resets
+  EXPECT_EQ(pcb->rto_us / 1e6, rto);
+  EXPECT_EQ(pcb->snd_una + 100, pcb->snd_nxt);
+
+  now_ = 0.5 + rto - 0.001;
+  EXPECT_EQ(client_.poll_retransmits(), 0u);
+  now_ = 0.5 + rto;
+  EXPECT_EQ(client_.poll_retransmits(), 1u);  // B, not A's later deadline
+  pump();
+  EXPECT_EQ(pcb->snd_una, pcb->snd_nxt);
+  EXPECT_EQ(client_.counters().retransmissions, 2u);
+}
+
 TEST_F(ReliabilityTest, KarnsRuleNoSampleFromRetransmission) {
   core::Pcb* pcb = establish();
   pcb->srtt_us = 0;

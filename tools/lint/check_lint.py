@@ -22,6 +22,10 @@ Line rules:
                      __builtin_prefetch only inside core/prefetch.h
                      (prefetch_read): one audited shim keeps prefetches
                      portable and greppable.
+  mapping-discipline mmap/munmap/madvise only inside core/huge_pages.cc
+                     (map_pages): one helper owns alignment, huge-page
+                     advice and the ASan tail poisoning, so no table maps
+                     memory that skips them.
   byte-order         network-order header fields are only touched through
                      net/byte_order.h: no htons/ntohl family, no
                      __builtin_bswap, no reinterpret_cast to multi-byte
@@ -547,6 +551,15 @@ def build_rules(root: str) -> list:
             "intrinsic (portability no-op off GNU/Clang, one greppable "
             "shim)",
             ("src/core/prefetch.h",),
+        ),
+        RegexRule(
+            "mapping-discipline",
+            r"\b(?:mmap|munmap|madvise)\s*\(",
+            ("src", "tests", "bench", "examples"),
+            "map memory through core/huge_pages.h (map_pages / "
+            "MappedArray): it aligns, advises huge pages and poisons the "
+            "tail under ASan",
+            ("src/core/huge_pages.cc",),
         ),
         RegexRule(
             "include-hygiene",

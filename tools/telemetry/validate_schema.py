@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates tcpdemux.telemetry.v1 JSON exports (stdlib only).
+"""Validates tcpdemux.telemetry.v2 JSON exports (stdlib only).
 
 Usage: validate_schema.py <telemetry.json> [...]
 
@@ -12,7 +12,7 @@ documented in src/report/telemetry_json.h and DESIGN.md "Observability".
 import json
 import sys
 
-SCHEMA = "tcpdemux.telemetry.v1"
+SCHEMA = "tcpdemux.telemetry.v2"
 
 COUNTER_FIELDS = (
     "lookups",
@@ -21,6 +21,7 @@ COUNTER_FIELDS = (
     "inserts",
     "erases",
     "inserts_shed",
+    "inserts_refused",
     "rehashes",
     "resizes_started",
     "resizes_completed",
