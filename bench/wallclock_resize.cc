@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
   // to fit N, so the growth phase measures a doubling at full size.
   const std::vector<std::string> bases = {"flat:1024:crc32c",
                                           "flat16:1024:crc32c",
-                                          "cuckoo:1024:crc32c",
                                           "dynamic:1024:crc32c"};
 
   std::printf("%-38s %8s %7s %10s %10s %12s %12s %8s\n", "cell", "users",

@@ -68,8 +68,7 @@ std::vector<std::string> demux_specs() {
           "dynamic",
           "rcu:251:crc32",
           "flat:4096:crc32",
-          "flat16:4096:crc32",
-          "cuckoo:4096:crc32c"};
+          "flat16:4096:crc32"};
 }
 
 // Synthesizes a capture from a small TPC/A run and writes it where the

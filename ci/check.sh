@@ -181,9 +181,9 @@ if [[ "${SKIP_SWAR:-0}" != "1" ]]; then
   stage swar "SWAR-forced rebuild (no vector intrinsics) + demuxer suites"
   # The portable fallback must be behaviourally identical to the SIMD
   # path, not merely compile: rebuild with every vector backend disabled
-  # and run the suites that exercise group probing, the cuckoo table, and
-  # the hashers (the crc32c software table is always tested against the
-  # hardware instruction in-process; this covers the group-probe shim).
+  # and run the suites that exercise group probing and the hashers (the
+  # crc32c software table is always tested against the hardware
+  # instruction in-process; this covers the group-probe shim).
   cmake -B "$ROOT/build-swar" -S "$ROOT" -DTCPDEMUX_WERROR=ON \
         -DTCPDEMUX_FORCE_SWAR=ON
   cmake --build "$ROOT/build-swar" -j "$JOBS" \

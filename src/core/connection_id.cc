@@ -54,8 +54,14 @@ LookupResult ConnectionIdDemuxer::lookup(const net::FlowKey& key,
 
 LookupResult ConnectionIdDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // Connection-ID protocols have no wildcard path (connection setup carries
-  // the ID explicitly); fall back to scanning the slot table.
+  // the ID explicitly). A resident key is found through the key index like
+  // lookup(); anything else falls back to scanning the slot table.
   LookupResult best;
+  if (const auto it = id_by_key_.find(key); it != id_by_key_.end()) {
+    best.examined = 1;
+    best.pcb = slots_[it->second].get();
+    return best;
+  }
   int best_score = -1;
   for (const auto& slot : slots_) {
     if (slot == nullptr) continue;

@@ -24,7 +24,6 @@ enum class Algorithm : std::uint8_t {
   kRcu,           ///< lock-free-read hash chains + epoch reclaim (RCU)
   kFlat,          ///< open-addressing robin-hood table, fingerprint tags
   kFlat16,        ///< flat table with SIMD 16-slot group probing
-  kCuckoo,        ///< 4-way bucketized cuckoo table, Cuckoo++ filters
   kSharded,       ///< N RSS-steered shards, each wrapping an inner backend
 };
 
@@ -34,14 +33,15 @@ struct DemuxConfig {
   net::HasherKind hasher = net::HasherKind::kXorFold;
   bool per_chain_cache = true;       ///< Sequent only
   std::size_t id_capacity = 65536;   ///< connection-ID only
-  std::size_t flat_capacity = 1024;  ///< flat/flat16/cuckoo (initial slots)
+  std::size_t flat_capacity = 1024;  ///< flat/flat16 (initial slots)
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
   std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
-  bool rehash_on_overload = false;  ///< sequent/flat: seed-rotating rehash
-  std::size_t max_pcbs = 0;         ///< sequent/dynamic/flat: 0 = unbounded
-  /// dynamic/flat/flat16/cuckoo: grow by bounded-pause incremental
-  /// migration instead of a stop-the-world rebuild (see DESIGN.md
-  /// "Incremental resize & degradation ladder").
+  /// sequent/flat/flat16: seed-rotating rehash on the overload watermark.
+  bool rehash_on_overload = false;
+  std::size_t max_pcbs = 0;  ///< sequent/dynamic/flat/flat16: 0 = unbounded
+  /// dynamic/flat/flat16: grow by bounded-pause incremental migration
+  /// instead of a stop-the-world rebuild (see DESIGN.md "Incremental resize
+  /// & degradation ladder").
   bool incremental = false;
   // Sharded receive path (algorithm == kSharded only; see DESIGN.md
   // "Sharded receive path").
@@ -61,10 +61,6 @@ struct DemuxConfig {
 ///   "rcu[:chains[:hasher][:opts...]]"        (lock-free-read Sequent)
 ///   "flat[:capacity[:hasher][:opts...]]"     (open-addressing flat table)
 ///   "flat16[:capacity[:hasher][:opts...]]"   (flat + SIMD group probing)
-///   "cuckoo[:capacity[:hasher][:opts...]]"   (4-way Cuckoo++ table;
-///                                            defaults to crc32c, since its
-///                                            alt-bucket derivation needs a
-///                                            mixing hash — see registry.cc)
 ///   "sharded:N:<inner-spec>"                 (N RSS-steered shards, each an
 ///                                            instance of the inner spec —
 ///                                            any spec above; sharded itself
@@ -85,11 +81,11 @@ struct DemuxConfig {
 ///
 /// Option tokens, each at most once:
 ///   "nocache"   sequent/rcu: disable the per-chain cache
-///   "rehash"    sequent/flat/flat16/cuckoo: rehash with a fresh seed on
-///               overload watermark
-///   "max=N"     sequent/dynamic/flat/flat16/cuckoo: shed inserts beyond
-///               N PCBs (N > 0)
-///   "incremental"  dynamic/flat/flat16/cuckoo: bounded-pause incremental
+///   "rehash"    sequent/flat/flat16: rehash with a fresh seed on overload
+///               watermark
+///   "max=N"     sequent/dynamic/flat/flat16: shed inserts beyond N PCBs
+///               (N > 0)
+///   "incremental"  dynamic/flat/flat16: bounded-pause incremental
 ///               resize with the memory-pressure degradation ladder
 /// Returns nullopt on any unrecognized, duplicate, or unsupported token.
 [[nodiscard]] std::optional<DemuxConfig> parse_demux_spec(

@@ -133,6 +133,9 @@ class Demuxer {
   /// Best wildcard match for `key` (BSD in_pcblookup semantics), used for
   /// SYN delivery to listening sockets. Does not update caches and is not
   /// part of the measured fast path; `examined` is still reported.
+  /// SocketTable::find and erase also come through here, so every
+  /// implementation probes the key's home chain, slot run or shard first
+  /// and returns an exact match from there without sweeping the table.
   virtual LookupResult lookup_wildcard(const net::FlowKey& key) = 0;
 
   /// Number of PCBs currently registered.

@@ -255,27 +255,39 @@ LookupResult DynamicHashDemuxer::lookup(const net::FlowKey& key,
 }
 
 LookupResult DynamicHashDemuxer::lookup_wildcard(const net::FlowKey& key) {
+  // The key's home buckets first — live, then outgoing while a migration
+  // drains — so an exact match (score 0, unbeatable) costs its home chain
+  // and SocketTable::find/erase stay O(chain). Wildcard-bearing PCBs hash
+  // elsewhere, so only a miss there sweeps the remaining buckets.
   LookupResult best;
   int best_score = -1;
-  const auto sweep = [&](std::vector<Bucket>& buckets) {
-    for (Bucket& b : buckets) {
-      const auto scan = b.list.find_best_match(key);
-      best.examined += scan.examined;
-      if (scan.pcb == nullptr) continue;
-      const int score = scan.pcb->key.match_score(key);
-      if (score == 0) {
-        best.pcb = scan.pcb;
-        return true;
-      }
-      if (best_score < 0 || score < best_score) {
-        best_score = score;
-        best.pcb = scan.pcb;
-      }
+  const auto scan = [&](Bucket& b) {
+    const auto s = b.list.find_best_match(key);
+    best.examined += s.examined;
+    if (s.pcb == nullptr) return false;
+    const int score = s.pcb->key.match_score(key);
+    if (score == 0) {
+      best.pcb = s.pcb;
+      return true;
+    }
+    if (best_score < 0 || score < best_score) {
+      best_score = score;
+      best.pcb = s.pcb;
     }
     return false;
   };
-  if (sweep(buckets_)) return best;
-  if (old_ != nullptr) sweep(old_->buckets);
+  const auto sweep = [&](std::vector<Bucket>& buckets, std::uint32_t home) {
+    for (std::uint32_t i = 0; i < buckets.size(); ++i) {
+      if (i != home && scan(buckets[i])) return true;
+    }
+    return false;
+  };
+  const std::uint32_t home = chain_of(key);
+  if (scan(buckets_[home])) return best;
+  const std::uint32_t old_home = old_ == nullptr ? 0 : old_chain_of(key);
+  if (old_ != nullptr && scan(old_->buckets[old_home])) return best;
+  if (sweep(buckets_, home)) return best;
+  if (old_ != nullptr) sweep(old_->buckets, old_home);
   return best;
 }
 

@@ -47,10 +47,14 @@ LookupResult HashedMtfDemuxer::lookup(const net::FlowKey& key,
 }
 
 LookupResult HashedMtfDemuxer::lookup_wildcard(const net::FlowKey& key) {
+  // Home chain first, as in SequentDemuxer: an exact match returns there,
+  // so only a key that misses its own chain sweeps the others.
   LookupResult best;
   int best_score = -1;
-  for (PcbList& list : buckets_) {
-    const auto scan = list.find_best_match(key);
+  const std::uint32_t home = chain_of(key);
+  for (std::uint32_t i = 0; i < options_.chains; ++i) {
+    const auto scan =
+        buckets_[(home + i) % options_.chains].find_best_match(key);
     best.examined += scan.examined;
     if (scan.pcb == nullptr) continue;
     const int score = scan.pcb->key.match_score(key);

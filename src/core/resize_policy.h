@@ -1,8 +1,8 @@
 // Shared tuning for bounded-pause incremental resize (see DESIGN.md
 // "Incremental resize & degradation ladder"). Every growing backend
-// (dynamic, flat, flat16, cuckoo) drains its outgoing table with the same
-// batch discipline so the worst-case per-operation pause is O(batch)
-// regardless of table size.
+// (dynamic, flat, flat16) drains its outgoing table with the same batch
+// discipline so the worst-case per-operation pause is O(batch) regardless
+// of table size.
 #ifndef TCPDEMUX_CORE_RESIZE_POLICY_H_
 #define TCPDEMUX_CORE_RESIZE_POLICY_H_
 

@@ -150,12 +150,16 @@ void ShardedDemuxer::note_sent(Pcb* pcb) {
 
 LookupResult ShardedDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // BSD best-match across the fleet: every shard may hold listeners, so
-  // all are consulted and the lowest-wildcard match wins. Neither parent
-  // nor shard stats move (wildcard contract).
+  // all are consulted and the lowest-wildcard match wins. The home shard
+  // goes first, so a resident key's exact match (unbeatable) returns
+  // before any other shard runs its miss sweep. Neither parent nor shard
+  // stats move (wildcard contract).
   LookupResult best{};
   int best_score = -1;
-  for (const auto& shard : shards_) {
-    const LookupResult r = shard->lookup_wildcard(key);
+  const std::uint32_t home = home_shard(key);
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    const LookupResult r =
+        shards_[(home + i) % shard_count()]->lookup_wildcard(key);
     best.examined += r.examined;
     if (r.pcb == nullptr) continue;
     const int score = r.pcb->key.match_score(key);

@@ -1,11 +1,11 @@
 // SIMD group-probe portability shim.
 //
-// The group-probed tables (flat16's 16-slot fingerprint groups, the cuckoo
-// table's 4-slot buckets) filter many 1-byte tags per probe step with one
-// vector compare. All vector intrinsics go through this header so they
-// appear in exactly one audited place (the repo lint's simd-discipline rule
-// enforces this) and toolchains without SSE2/NEON degrade to a scalar
-// 8-byte SWAR path instead of a build break.
+// The group-probed flat16 table filters a 16-slot group of 1-byte
+// fingerprint tags per probe step with one vector compare. All vector
+// intrinsics go through this header so they appear in exactly one audited
+// place (the repo lint's simd-discipline rule enforces this) and toolchains
+// without SSE2/NEON degrade to a scalar 8-byte SWAR path instead of a build
+// break.
 //
 // Backend selection is compile-time — `simd_backend()` reports which one
 // was chosen so tests and benches can verify it at runtime. Defining
@@ -73,20 +73,6 @@ namespace simd_detail {
          (simd_detail::movemask8(simd_detail::eq_mask8(hi, tag)) << 8);
 }
 
-/// Scalar 4-wide bucket match (cuckoo buckets): bit i of the result is set
-/// iff tags[i] == tag. Only the low 4 bits can be set.
-[[nodiscard]] inline std::uint32_t bucket_match_swar(const std::uint8_t* tags,
-                                                     std::uint8_t tag) noexcept {
-  std::uint32_t word = 0;
-  std::memcpy(&word, tags, sizeof word);
-  constexpr std::uint32_t kLow7 = 0x7f7f7f7fU;
-  const std::uint32_t x = word ^ (0x01010101U * tag);
-  const std::uint32_t m = ~(((x & kLow7) + kLow7) | x | kLow7);
-  // Same movemask compaction as the 8-byte lane, scaled to 4 bytes: byte
-  // i's 0x80 bit lands at bit 28+i; wrapped overflow terms stay below 28.
-  return (m * 0x00204081U) >> 28;
-}
-
 #if defined(TCPDEMUX_SIMD_SSE2)
 
 [[nodiscard]] inline std::uint32_t group_match(const std::uint8_t* tags,
@@ -133,14 +119,6 @@ namespace simd_detail {
 }
 
 #endif
-
-/// 4-wide bucket match on the native backend. A 4-byte probe does not fill
-/// a vector register, so every backend uses the 32-bit SWAR lane — the name
-/// exists so call sites stay uniform if a wider bucket ever warrants SSE.
-[[nodiscard]] inline std::uint32_t bucket_match(const std::uint8_t* tags,
-                                                std::uint8_t tag) noexcept {
-  return bucket_match_swar(tags, tag);
-}
 
 /// Bitmask of empty slots (tag 0x00) in a 16-slot group.
 [[nodiscard]] inline std::uint32_t group_empty(const std::uint8_t* tags) noexcept {

@@ -42,7 +42,6 @@ class DynamicHashDemuxer;
 class ConnectionIdDemuxer;
 class RcuSequentDemuxer;
 class FlatDemuxer;
-class CuckooDemuxer;
 class ShardedDemuxer;
 class Demuxer;
 struct Pcb;
@@ -75,11 +74,6 @@ class StructuralValidator {
   /// unnamed PCB), tag/key/hash agreement per slot, robin-hood
   /// probe-distance ordering, occupancy vs size() vs load-factor bound.
   static ValidationReport validate(const FlatDemuxer& demuxer);
-  /// Cuckoo table: tag/key/hash agreement per slot, bucket/alt-bucket
-  /// placement, counted-filter soundness (every overflowed resident is
-  /// registered in its primary bucket's filter, every bit backed by a
-  /// nonzero count), occupancy vs size() vs load-factor bound.
-  static ValidationReport validate(const CuckooDemuxer& demuxer);
   /// Sharded fleet: every shard's inner structure (recursive, via
   /// validate_demuxer), sum-of-shard-sizes vs size(), the cross-shard
   /// no-duplicate-key invariant, and — while steering has not drifted
@@ -141,16 +135,6 @@ struct ValidatorTestAccess {
   static std::size_t& flat_size(FlatDemuxer& d);
   static SlotArray<std::uint32_t>& flat_index(FlatDemuxer& d);
   static void flat_move_slot(FlatDemuxer& d, std::size_t from, std::size_t to);
-  /// Cuckoo-table plants: the slot-tag byte (flip a fingerprint bit), the
-  /// presence-filter word of a bucket (plant a false negative), the size
-  /// counter, and a raw whole-slot move (from occupied, to empty) that
-  /// skips filter bookkeeping — breaking bucket placement, filter
-  /// membership, or both. Undo by moving back.
-  static std::uint8_t& cuckoo_tag(CuckooDemuxer& d, std::size_t slot);
-  static std::uint16_t& cuckoo_filter(CuckooDemuxer& d, std::size_t bucket);
-  static std::size_t& cuckoo_size(CuckooDemuxer& d);
-  static void cuckoo_move_slot(CuckooDemuxer& d, std::size_t from,
-                               std::size_t to);
 };
 
 }  // namespace tcpdemux::core

@@ -33,8 +33,7 @@ TEST(Registry, ParseSimpleNames) {
            {"connection_id", Algorithm::kConnectionId},
            {"rcu", Algorithm::kRcu},
            {"flat", Algorithm::kFlat},
-           {"flat16", Algorithm::kFlat16},
-           {"cuckoo", Algorithm::kCuckoo}}) {
+           {"flat16", Algorithm::kFlat16}}) {
     const auto config = parse_demux_spec(spec);
     ASSERT_TRUE(config.has_value()) << spec;
     EXPECT_EQ(config->algorithm, algo) << spec;
@@ -186,38 +185,10 @@ TEST(Registry, Flat16DefaultConfig) {
   EXPECT_EQ(d->name(), "flat16(cap=1024,xor_fold)");
 }
 
-TEST(Registry, ParseCuckooSpec) {
-  const auto config = parse_demux_spec("cuckoo:512:jenkins");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->algorithm, Algorithm::kCuckoo);
-  EXPECT_EQ(config->flat_capacity, 512u);
-  EXPECT_EQ(config->hasher, net::HasherKind::kJenkins);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "cuckoo(cap=512,jenkins)");
-}
-
-TEST(Registry, CuckooDefaultsToHardwareCrc32c) {
-  // The alt-bucket derivation needs a mixing hash, so the bare spec picks
-  // the hardware-accelerated CRC32C family rather than xor_fold.
-  const auto config = parse_demux_spec("cuckoo");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->hasher, net::HasherKind::kCrc32c);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "cuckoo(cap=1024,crc32c)");
-}
-
-TEST(Registry, CuckooCapacityRoundsUpToPowerOfTwo) {
-  const auto d = make_demuxer(*parse_demux_spec("cuckoo:1000"));
-  EXPECT_EQ(d->name(), "cuckoo(cap=1024,crc32c)");
-}
-
-TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
+TEST(Registry, ParseRejectsBadFlat16Specs) {
   EXPECT_FALSE(parse_demux_spec("flat16:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:0").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:sha256").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:crc32:nocache").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
 }
 
 TEST(Registry, ConfiguredDemuxerReflectsSpec) {
@@ -244,7 +215,6 @@ TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   // accept it; all must fail, none may silently keep either copy.
   EXPECT_FALSE(parse_demux_spec("flat:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:incremental:incremental").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:19:max=5:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
@@ -258,7 +228,7 @@ TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
 TEST(Registry, ParseRejectsDuplicateHasherTokens) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32:jenkins").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32:crc32").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c@1:crc32c@2").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:crc32c@1:crc32c@2").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:xor_fold:siphash@5eed").has_value());
   EXPECT_EQ(parse_error("flat:64:crc32:crc32"),
             "duplicate hasher token 'crc32'");
@@ -298,7 +268,7 @@ TEST(Registry, ParseRejectsMangledSeedSuffixes) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32@1f@2e").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32@").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32@123456789").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:siphash@zz").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:siphash@zz").has_value());
   EXPECT_EQ(parse_error("sequent:19:crc32@1f@2e"),
             "bad seed suffix in 'crc32@1f@2e' (want one '@' and 1-8 hex digits)");
 }

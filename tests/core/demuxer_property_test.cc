@@ -240,8 +240,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "dynamic:41:jenkins", "rcu", "rcu:101:crc32",
                       "rcu:19:xor_fold:nocache", "flat", "flat:64",
                       "flat:1024:crc32", "flat16", "flat16:64",
-                      "flat16:1024:crc32", "cuckoo", "cuckoo:64",
-                      "cuckoo:1024:crc32c", "cuckoo:64:jenkins"),
+                      "flat16:1024:crc32"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name) {

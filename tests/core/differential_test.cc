@@ -27,10 +27,8 @@ const char* kSpecs[] = {"bsd",           "mtf",
                         "connection_id", "rcu:19:crc32",
                         "flat",          "flat:64:crc32",
                         "flat16",        "flat16:64:crc32",
-                        "cuckoo",        "cuckoo:64:crc32",
                         "sharded:4:flat16",
-                        "sharded:3:sequent:19:crc32",
-                        "sharded:2:cuckoo"};
+                        "sharded:3:sequent:19:crc32"};
 
 TEST(Differential, AllAlgorithmsAgreeOnMembership) {
   std::vector<std::unique_ptr<Demuxer>> demuxers;

@@ -225,8 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "hashed_mtf", "connection_id", "dynamic:5:crc32",
                       "dynamic:5:crc32:incremental", "rcu:19:crc32",
                       "flat:16", "flat:16:crc32:incremental", "flat16:16",
-                      "flat16:16:crc32c:incremental", "cuckoo:16",
-                      "cuckoo:16:crc32:incremental", "sharded:4:flat16:16",
+                      "flat16:16:crc32c:incremental", "sharded:4:flat16:16",
                       "sharded:2:flat:16:incremental",
                       "sharded:3:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {

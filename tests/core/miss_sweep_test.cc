@@ -2,9 +2,8 @@
 // stream with absent keys blended at 0%, 50%, and 100%, and must (a)
 // account every hit and miss exactly in stats(), and (b) produce
 // bit-identical results and stats through lookup_batch — so the miss
-// path (where the flat table's early exit and the cuckoo table's
-// presence filter earn their keep) is exercised for every backend,
-// scalar and batched, from day one.
+// path (where the flat table's early exit earns its keep) is exercised
+// for every backend, scalar and batched, from day one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,8 +33,6 @@ const char* kSpecs[] = {
     "connection_id", "rcu:19:crc32",
     "flat:256",      "flat:256:crc32",
     "flat16:256",    "flat16:256:crc32c",
-    "cuckoo:256",    "cuckoo:256:crc32c",
-    "cuckoo:256:siphash@5eed",
     "sharded:4:flat:256",
     "sharded:2:sequent:19:crc32",
 };

@@ -184,9 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "flat:64:crc32", "sequent:19:siphash@5eed:rehash",
                       "flat:256:siphash@5eed:rehash", "flat16",
                       "flat16:64:crc32", "flat16:256:siphash@5eed:rehash",
-                      "cuckoo", "cuckoo:64:crc32",
-                      "cuckoo:256:siphash@5eed:rehash", "sharded:4:flat16",
-                      "sharded:2:sequent:19:crc32"),
+                      "sharded:4:flat16", "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -8,7 +8,6 @@
 #include <random>
 #include <vector>
 
-#include "core/cuckoo_demuxer.h"
 #include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
 #include "core/validate.h"
@@ -163,56 +162,6 @@ TEST(OverloadRehash, Flat16RotatesSeedAndGroupProbeStillFindsEveryKey) {
   for (const net::FlowKey& key : flood) {
     EXPECT_NE(demuxer.lookup(key).pcb, nullptr);
   }
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
-TEST(OverloadRehash, CuckooRotatesSeedAndRecoversUnderBucketPairFlood) {
-  // Keys sharing both the bucket index AND the fingerprint tag share both
-  // candidate buckets; past 8 of them the kick search must fail. With the
-  // rehash policy on, the first failure rotates the seed and the re-placed
-  // table absorbs the remainder.
-  CuckooDemuxer demuxer(
-      {256, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});
-  ASSERT_FALSE(demuxer.hash_spec().keyed());
-
-  sim::CollisionFloodParams params;
-  params.count = 12;  // > 2 buckets * 4 slots
-  const auto bucket_mask =
-      static_cast<std::uint32_t>(demuxer.bucket_count() - 1);
-  const auto flood = sim::craft_colliding_keys(
-      params,
-      [&](const net::FlowKey& k) {
-        // Bucket bits | tag bits: equal values => same (b1, b2, tag).
-        const std::uint32_t mix =
-            net::mix32_avalanche(net::hash_flow(demuxer.hash_spec(), k));
-        return (mix & bucket_mask) | ((mix >> 25) << 6);
-      },
-      (0x40u << 6) | 5u);
-  ASSERT_EQ(flood.size(), 12u);
-
-  for (const net::FlowKey& key : flood) {
-    ASSERT_NE(demuxer.insert(key), nullptr);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_GE(r.overload_rehashes, 1u);
-  EXPECT_TRUE(demuxer.hash_spec().keyed());
-  EXPECT_EQ(demuxer.size(), flood.size());
-  for (const net::FlowKey& key : flood) {
-    EXPECT_NE(demuxer.lookup(key).pcb, nullptr);
-  }
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
-TEST(OverloadRehash, CuckooNeverFiresOnBenignTraffic) {
-  CuckooDemuxer demuxer(
-      {1024, {net::HasherKind::kCrc32c, 0}, /*rehash_on_overload=*/true, 0});
-  for (const net::FlowKey& key : random_keys(6000, 0xbe9193)) {
-    demuxer.insert(key);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_EQ(r.overload_rehashes, 0u);
-  EXPECT_FALSE(demuxer.hash_spec().keyed());
-  EXPECT_LE(r.watermark, r.watermark_limit);
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
 }
 

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
 #include "core/dynamic_hash.h"
 #include "core/flat_demuxer.h"
@@ -70,12 +69,6 @@ TEST(Shedding, FlatEnforcesMaxPcbs) {
 TEST(Shedding, Flat16EnforcesMaxPcbs) {
   FlatDemuxer demuxer({1024, net::HasherKind::kCrc32, false, /*max_pcbs=*/64,
                        /*group_probe=*/true});
-  expect_cap_enforced(demuxer, 64);
-}
-
-TEST(Shedding, CuckooEnforcesMaxPcbs) {
-  CuckooDemuxer demuxer(
-      {1024, net::HasherKind::kCrc32c, false, /*max_pcbs=*/64});
   expect_cap_enforced(demuxer, 64);
 }
 

@@ -270,7 +270,7 @@ TEST_P(AllocationTest, SteadyStateReceivePathAllocatesOnlyEmittedSegments) {
 
 INSTANTIATE_TEST_SUITE_P(Specs, AllocationTest,
                          ::testing::Values("flat16:incremental",
-                                           "sequent:19:crc32", "cuckoo"),
+                                           "sequent:19:crc32"),
                          spec_test_name);
 
 // Connection churn: a SYN-cache completion inserts a PCB, and a passive

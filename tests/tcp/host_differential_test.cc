@@ -42,7 +42,7 @@ const char* const kSpecs[] = {
     "dynamic:incremental",
     "rcu:19:crc32", "flat",
     "flat16:incremental",
-    "cuckoo",       "sharded:4:flat16",
+    "sharded:4:flat16",
 };
 
 /// The client's view of one connection.
