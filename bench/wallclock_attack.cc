@@ -123,13 +123,13 @@ int main(int argc, char** argv) {
       {"sequent-flood-unkeyed", "sequent:19:xor_fold", &chain_flood},
       {"sequent-flood-keyed", "sequent:19:siphash@5eed", &chain_flood},
       {"sequent-flood-rehash", "sequent:19:xor_fold:rehash", &chain_flood},
-      {"flat-flood-unkeyed", "flat:8192:xor_fold", &hash_flood},
-      {"flat-flood-keyed", "flat:8192:siphash@5eed", &hash_flood},
-      {"flat-flood-rehash", "flat:8192:crc32:rehash", &slot_flood},
+      {"flat16-flood-unkeyed", "flat16:8192:xor_fold", &hash_flood},
+      {"flat16-flood-keyed", "flat16:8192:siphash@5eed", &hash_flood},
+      {"flat16-flood-rehash", "flat16:8192:crc32:rehash", &slot_flood},
       {"sequent-benign-unkeyed", "sequent:19:crc32", nullptr},
       {"sequent-benign-keyed", "sequent:19:siphash@5eed", nullptr},
-      {"flat-benign-unkeyed", "flat:8192:crc32", nullptr},
-      {"flat-benign-keyed", "flat:8192:siphash@5eed", nullptr},
+      {"flat16-benign-unkeyed", "flat16:8192:crc32", nullptr},
+      {"flat16-benign-keyed", "flat16:8192:siphash@5eed", nullptr},
   };
 
   std::printf("%-24s %-32s %12s %14s %9s %10s\n", "scenario", "demuxer",

@@ -45,8 +45,8 @@ std::uint32_t scaled_chains(std::uint32_t users) {
 std::vector<std::string> specs_for(std::uint32_t users) {
   const std::string chains = std::to_string(scaled_chains(users));
   const std::string doubled = std::to_string(2 * users);
-  return {"flat:" + doubled + ":crc32", "flat:" + doubled,
-          "flat16:" + doubled + ":crc32c", "flat16:" + doubled,
+  return {"flat16:" + doubled + ":crc32", "flat16:" + doubled + ":crc32c",
+          "flat16:" + doubled,
           "sequent:" + chains + ":crc32", "rcu:" + chains + ":crc32",
           "hashed_mtf:" + chains + ":crc32"};
 }

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
         std::make_unique<core::FlatDemuxer>(
             core::FlatDemuxer::Options{4096, net::HasherKind::kCrc32}));
     populate(*d);
-    cases.push_back({"global_lock/flat:4096",
+    cases.push_back({"global_lock/flat16:4096",
                      [d](std::uint32_t w) { return mix_body(*d, w); }, d});
   }
   {

@@ -32,8 +32,8 @@
 // transparent hugepages left at the system default and with THP disabled
 // for the process (prctl PR_SET_THP_DISABLE) — the growth phase touches
 // fresh arrays, so TLB fill cost is part of the resize story. Only the
-// flat/flat16 tables map huge-page-advised memory (core/huge_pages.h), so
-// on a host whose THP mode is `madvise` only their cells differ.
+// flat16 table maps huge-page-advised memory (core/huge_pages.h), so on a
+// host whose THP mode is `madvise` only its cells differ.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -180,8 +180,7 @@ int main(int argc, char** argv) {
   // Every growing backend, stop-the-world vs incremental. Initial
   // capacities are deliberately small: the populate phase grows the table
   // to fit N, so the growth phase measures a doubling at full size.
-  const std::vector<std::string> bases = {"flat:1024:crc32c",
-                                          "flat16:1024:crc32c",
+  const std::vector<std::string> bases = {"flat16:1024:crc32c",
                                           "dynamic:1024:crc32c"};
 
   std::printf("%-38s %8s %7s %10s %10s %12s %12s %8s\n", "cell", "users",

@@ -67,7 +67,6 @@ std::vector<std::string> demux_specs() {
           "sequent:251:crc32",
           "dynamic",
           "rcu:251:crc32",
-          "flat:4096:crc32",
           "flat16:4096:crc32"};
 }
 

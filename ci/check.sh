@@ -181,9 +181,11 @@ if [[ "${SKIP_SWAR:-0}" != "1" ]]; then
   stage swar "SWAR-forced rebuild (no vector intrinsics) + demuxer suites"
   # The portable fallback must be behaviourally identical to the SIMD
   # path, not merely compile: rebuild with every vector backend disabled
-  # and run the suites that exercise group probing and the hashers (the
+  # and run the suites that exercise the hashers and the flat table (the
   # crc32c software table is always tested against the hardware
-  # instruction in-process; this covers the group-probe shim).
+  # instruction in-process). On a build without SSE2 or NEON the SWAR
+  # shim is the flat table's only probe, so this stage is what covers
+  # every flat table lookup there.
   cmake -B "$ROOT/build-swar" -S "$ROOT" -DTCPDEMUX_WERROR=ON \
         -DTCPDEMUX_FORCE_SWAR=ON
   cmake --build "$ROOT/build-swar" -j "$JOBS" \

@@ -1,7 +1,5 @@
 #include "core/connection_id.h"
 
-#include "core/fault_inject.h"
-
 #include <stdexcept>
 
 namespace tcpdemux::core {
@@ -20,7 +18,7 @@ ConnectionIdDemuxer::ConnectionIdDemuxer(std::size_t capacity)
 Pcb* ConnectionIdDemuxer::insert(const net::FlowKey& key) {
   if (id_by_key_.contains(key)) return nullptr;
   if (free_ids_.empty()) return nullptr;  // ID space exhausted
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (insert_refused()) return nullptr;
   const std::uint32_t id = free_ids_.back();
   free_ids_.pop_back();
   slots_[id] = std::make_unique<Pcb>(key, id);

@@ -62,16 +62,11 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
     case Algorithm::kRcu:
       return std::make_unique<RcuDemuxerAdapter>(RcuSequentDemuxer::Options{
           config.chains, hasher, config.per_chain_cache});
-    case Algorithm::kFlat:
-      return std::make_unique<FlatDemuxer>(
-          FlatDemuxer::Options{config.flat_capacity, hasher,
-                               config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/false, config.incremental});
     case Algorithm::kFlat16:
       return std::make_unique<FlatDemuxer>(
           FlatDemuxer::Options{config.flat_capacity, hasher,
                                config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/true, config.incremental});
+                               config.incremental});
     case Algorithm::kSharded: {
       const auto inner = parse_demux_spec(config.inner_spec);
       if (!inner) return nullptr;  // parse_demux_spec validated it already
@@ -116,7 +111,6 @@ std::string_view algorithm_name(Algorithm algorithm) noexcept {
     case Algorithm::kConnectionId: return "connection_id";
     case Algorithm::kDynamic: return "dynamic";
     case Algorithm::kRcu: return "rcu";
-    case Algorithm::kFlat: return "flat";
     case Algorithm::kFlat16: return "flat16";
     case Algorithm::kSharded: return "sharded";
   }
@@ -202,8 +196,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     config.algorithm = Algorithm::kDynamic;
   } else if (head == "rcu") {
     config.algorithm = Algorithm::kRcu;
-  } else if (head == "flat") {
-    config.algorithm = Algorithm::kFlat;
   } else if (head == "flat16") {
     config.algorithm = Algorithm::kFlat16;
   } else {
@@ -224,9 +216,7 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     return config;
   }
 
-  // The slot-array tables share capacity parsing and the resilience gates.
-  const bool is_flat = config.algorithm == Algorithm::kFlat ||
-                       config.algorithm == Algorithm::kFlat16;
+  const bool is_flat = config.algorithm == Algorithm::kFlat16;
   const bool takes_chains = config.algorithm == Algorithm::kSequent ||
                             config.algorithm == Algorithm::kHashedMtf ||
                             config.algorithm == Algorithm::kDynamic ||

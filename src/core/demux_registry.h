@@ -22,8 +22,7 @@ enum class Algorithm : std::uint8_t {
   kConnectionId,  ///< §3.5 protocol-extension strawman
   kDynamic,       ///< self-resizing hash chains (post-paper extension)
   kRcu,           ///< lock-free-read hash chains + epoch reclaim (RCU)
-  kFlat,          ///< open-addressing robin-hood table, fingerprint tags
-  kFlat16,        ///< flat table with SIMD 16-slot group probing
+  kFlat16,        ///< robin-hood flat table, 16-slot group-probed tags
   kSharded,       ///< N RSS-steered shards, each wrapping an inner backend
 };
 
@@ -33,13 +32,13 @@ struct DemuxConfig {
   net::HasherKind hasher = net::HasherKind::kXorFold;
   bool per_chain_cache = true;       ///< Sequent only
   std::size_t id_capacity = 65536;   ///< connection-ID only
-  std::size_t flat_capacity = 1024;  ///< flat/flat16 (initial slots)
+  std::size_t flat_capacity = 1024;  ///< flat16 (initial slots)
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
   std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
-  /// sequent/flat/flat16: seed-rotating rehash on the overload watermark.
+  /// sequent/flat16: seed-rotating rehash on the overload watermark.
   bool rehash_on_overload = false;
-  std::size_t max_pcbs = 0;  ///< sequent/dynamic/flat/flat16: 0 = unbounded
-  /// dynamic/flat/flat16: grow by bounded-pause incremental migration
+  std::size_t max_pcbs = 0;  ///< sequent/dynamic/flat16: 0 = unbounded
+  /// dynamic/flat16: grow by bounded-pause incremental migration
   /// instead of a stop-the-world rebuild (see DESIGN.md "Incremental resize
   /// & degradation ladder").
   bool incremental = false;
@@ -59,8 +58,8 @@ struct DemuxConfig {
 ///   "hashed_mtf[:chains[:hasher]]"
 ///   "dynamic[:initial_chains[:hasher][:opts...]]"
 ///   "rcu[:chains[:hasher][:opts...]]"        (lock-free-read Sequent)
-///   "flat[:capacity[:hasher][:opts...]]"     (open-addressing flat table)
-///   "flat16[:capacity[:hasher][:opts...]]"   (flat + SIMD group probing)
+///   "flat16[:capacity[:hasher][:opts...]]"   (open-addressing flat table,
+///                                            SIMD 16-slot group probing)
 ///   "sharded:N:<inner-spec>"                 (N RSS-steered shards, each an
 ///                                            instance of the inner spec —
 ///                                            any spec above; sharded itself
@@ -69,8 +68,8 @@ struct DemuxConfig {
 /// The count token, when an algorithm takes one, must come directly after
 /// the algorithm name; the hasher token and the option tokens may then
 /// appear in any order, each at most once. So "dynamic:incremental" and
-/// "flat:rehash:crc32c" are valid, while conflicting duplicates
-/// ("flat:incremental:incremental", two "max=N" tokens, two hasher
+/// "flat16:rehash:crc32c" are valid, while conflicting duplicates
+/// ("flat16:incremental:incremental", two "max=N" tokens, two hasher
 /// tokens) are rejected — nesting specs under sharded makes silent
 /// last-wins unacceptable.
 ///
@@ -81,11 +80,10 @@ struct DemuxConfig {
 ///
 /// Option tokens, each at most once:
 ///   "nocache"   sequent/rcu: disable the per-chain cache
-///   "rehash"    sequent/flat/flat16: rehash with a fresh seed on overload
+///   "rehash"    sequent/flat16: rehash with a fresh seed on overload
 ///               watermark
-///   "max=N"     sequent/dynamic/flat/flat16: shed inserts beyond N PCBs
-///               (N > 0)
-///   "incremental"  dynamic/flat/flat16: bounded-pause incremental
+///   "max=N"     sequent/dynamic/flat16: shed inserts beyond N PCBs (N > 0)
+///   "incremental"  dynamic/flat16: bounded-pause incremental
 ///               resize with the memory-pressure degradation ladder
 /// Returns nullopt on any unrecognized, duplicate, or unsupported token.
 [[nodiscard]] std::optional<DemuxConfig> parse_demux_spec(
@@ -93,7 +91,7 @@ struct DemuxConfig {
 
 /// As above, but on failure writes a human-readable reason into `*error`
 /// (when non-null) naming the offending token — "duplicate 'incremental'
-/// token", "'nocache' is not supported by flat", ... Callers that surface
+/// token", "'nocache' is not supported by flat16", ... Callers that surface
 /// spec strings to users (benches, examples, nested sharded specs) use
 /// this overload.
 [[nodiscard]] std::optional<DemuxConfig> parse_demux_spec(

@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 
+#include "core/fault_inject.h"
 #include "core/pcb.h"
 #include "net/flow_key.h"
 #include "report/telemetry.h"
@@ -212,6 +213,21 @@ class Demuxer {
  protected:
   /// Next dense connection id; shared by all subclasses' insert paths.
   [[nodiscard]] std::uint64_t next_conn_id() noexcept { return conn_seq_++; }
+
+  /// The allocation gate of every insert path, passed after the duplicate
+  /// check and before any mutation. Polls the fault injector and, if it
+  /// passes, `reserve` — the backend's own reservation of what the insert
+  /// will allocate. Either failing counts the refusal in telemetry and
+  /// returns true: the caller backs out with no state change.
+  template <typename Reserve>
+  [[nodiscard]] bool insert_refused(Reserve&& reserve) {
+    if (!FaultInjector::instance().poll_alloc() && reserve()) return false;
+    telemetry_->on_refuse();
+    return true;
+  }
+  [[nodiscard]] bool insert_refused() {
+    return insert_refused([] { return true; });
+  }
 
   /// Single funnel for lookup accounting: records `r` in stats_ and, when
   /// histograms are on, in the telemetry registry. Subclasses call this

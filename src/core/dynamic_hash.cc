@@ -163,7 +163,7 @@ Pcb* DynamicHashDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (insert_refused()) return nullptr;
   // Ladder rung 2: growth is allocation-blocked and mean load has reached
   // twice the growth trigger — shed rather than let chains degrade toward
   // the linear scan the paper set out to kill. The refused attempt still

@@ -1,5 +1,6 @@
 // Cache-conscious flat demuxer: open addressing with robin-hood probing,
 // one-byte fingerprint tags, and tombstone-free backward-shift deletion.
+// Registered as the `flat16` spec (core/demux_registry.h).
 //
 // The paper's figure of merit — PCBs examined per lookup — is a surrogate
 // for memory traffic: every chain-following demuxer in this library (BSD,
@@ -8,10 +9,11 @@
 // traffic directly, the way modern flow tables (Cuckoo++ [LeS17], DPDK
 // hash) do:
 //
-//   * power-of-two slot array, structure-of-arrays layout: a probe walks a
-//     dense 1-byte tag array first, so resolving a slot costs a fraction
-//     of a cache line, not a PCB-sized load. A slot is 9 bytes: tag, hash,
-//     and the 32-bit index of its PCB in the table's slab (core/pcb_slab.h);
+//   * power-of-two slot array, structure-of-arrays layout: a probe filters
+//     a dense 1-byte tag array 16 slots at a time with one vector compare
+//     (core/simd.h), so resolving a slot costs a fraction of a cache line,
+//     not a PCB-sized load. A slot is 9 bytes: tag, hash, and the 32-bit
+//     index of its PCB in the table's slab (core/pcb_slab.h);
 //   * the tag holds an occupied bit plus 7 fingerprint bits from the top
 //     of the hash. A key comparison happens only on a fingerprint match —
 //     with 7 bits, ~1/128 of colliding probes are false positives — and it
@@ -19,8 +21,9 @@
 //     the line a hit's caller touches next anyway. So "PCBs examined" is
 //     literally the number of PCBs read;
 //   * robin-hood insertion bounds probe-sequence variance (an inserting
-//     key displaces any resident closer to its home slot), which keeps the
-//     early-exit bound on misses tight;
+//     key displaces any resident closer to its home slot), and every probe
+//     run is contiguous from the home slot to the first empty slot, where
+//     a group probe stops — so a miss costs the run's few tag groups;
 //   * deletion backward-shifts the following probe run instead of leaving
 //     tombstones, so load factor — and therefore probe length — never
 //     degrades with churn;
@@ -29,13 +32,14 @@
 //     a Pcb* stays valid across growth and slot shifts until its own
 //     erase; its slab cell is then reused;
 //   * with Options::incremental the rehash is no longer stop-the-world:
-//     the old slot array is kept behind a drain cursor and every
-//     insert/erase/lookup migrates a bounded batch of residents into the
-//     doubled array, so worst-case per-operation work is O(batch), not
-//     O(n). When the doubled array cannot be allocated the table degrades
-//     down a ladder — defer-and-retry with exponential backoff, then
-//     shed-at-watermark — instead of corrupting state (see DESIGN.md
-//     "Incremental resize & degradation ladder").
+//     the old slot array (the same Slots type as the live one, probed the
+//     same way) is kept behind a drain cursor and every insert/erase/lookup
+//     migrates a bounded batch of residents into the doubled array, so
+//     worst-case per-operation work is O(batch), not O(n). When the
+//     doubled array cannot be allocated the table degrades down a ladder —
+//     defer-and-retry with exponential backoff, then shed-at-watermark —
+//     instead of corrupting state (see DESIGN.md "Incremental resize &
+//     degradation ladder").
 //
 // Accounting: `examined` counts key comparisons (fingerprint hits), the
 // moments this structure actually touches a connection's identity. Tag
@@ -51,7 +55,6 @@
 #define TCPDEMUX_CORE_FLAT_DEMUXER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/demuxer.h"
@@ -72,13 +75,6 @@ class FlatDemuxer final : public Demuxer {
     /// Refuse inserts beyond this many PCBs (0 = unbounded). Refused
     /// inserts return nullptr and count in resilience().inserts_shed.
     std::size_t max_pcbs = 0;
-    /// Probe the fingerprint-tag array 16 slots at a time (core/simd.h)
-    /// instead of byte-at-a-time: one vector compare filters a whole group
-    /// and one more finds the run-terminating empty slot. Registered as the
-    /// `flat16` spec. Storage, insertion, and deletion are unchanged —
-    /// robin-hood keeps every probe run contiguous from the home slot to
-    /// the first empty slot, which is exactly what group termination needs.
-    bool group_probe = false;
     /// Grow by incremental migration instead of a stop-the-world rehash:
     /// the old array drains behind a cursor, a bounded batch per
     /// operation, with the allocation-failure degradation ladder armed.
@@ -108,17 +104,21 @@ class FlatDemuxer final : public Demuxer {
   /// Current slot count (doubles as the table grows). Test/bench hook.
   /// While an incremental migration is in flight this is the *new* array's
   /// capacity; the draining old array is extra (see memory_bytes()).
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return live_.capacity();
+  }
 
   /// The PCB storage (test/bench hook: chunk count, high-water mark).
   [[nodiscard]] const PcbSlab& slab() const noexcept { return slab_; }
 
   bool migration_step() override;
   /// True while an incremental migration is draining the old array.
-  [[nodiscard]] bool migrating() const noexcept { return old_ != nullptr; }
+  [[nodiscard]] bool migrating() const noexcept {
+    return old_.capacity() != 0;
+  }
   /// Residents still waiting in the old array (0 when not migrating).
   [[nodiscard]] std::size_t migration_debt() const noexcept {
-    return old_ != nullptr ? old_->residents : 0;
+    return old_residents_;
   }
   /// True while the degradation ladder has growth blocked on allocation
   /// failure (inserts shed once occupancy reaches 15/16).
@@ -162,43 +162,73 @@ class FlatDemuxer final : public Demuxer {
     return static_cast<std::uint8_t>(0x80U | (h >> 25));
   }
 
+  /// One robin-hood slot array in structure-of-arrays form: the live
+  /// array, or the old one draining behind a migration. Parallel arrays,
+  /// all sized capacity() (a power of two >= 16, or 0 for no array): a
+  /// probe touches tags (1 B/slot), then on a fingerprint match index
+  /// (4 B/slot) and the PCB it names, whose line 0 holds the key; hashes
+  /// (4 B/slot) serve placement and removal. A hit is a tag group and an
+  /// index line, loaded in parallel, then the PCB.
+  struct Slots {
+    std::size_t mask = 0;  ///< capacity - 1
+    Tags tags;
+    Words hashes;
+    Words index;  ///< PCB slab index per slot
+
+    Slots() = default;
+    explicit Slots(std::size_t capacity)
+        : mask(capacity - 1), tags(capacity), hashes(capacity),
+          index(capacity) {}
+
+    [[nodiscard]] std::size_t capacity() const noexcept { return tags.size(); }
+    /// Distance of slot `i`'s resident from its home slot, in probe steps.
+    [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
+      return (i - (hashes[i] & mask)) & mask;
+    }
+    /// Robin-hood placement of a (pre-hashed) PCB index; the caller has
+    /// already established the key is absent and the load factor is
+    /// acceptable. Returns the longest probe distance the placement walked
+    /// (the overload watermark signal).
+    std::size_t place(std::uint32_t h, std::uint32_t pcb_index) noexcept;
+    /// Backward-shift removal of the resident at slot `i`.
+    void remove_at(std::size_t i) noexcept;
+  };
+
   /// The avalanche finalizer (net::mix32_avalanche) repairs weak folds so
   /// every input bit reaches the masked index bits and fingerprint bits.
   [[nodiscard]] std::uint32_t hash_of(const net::FlowKey& key) const noexcept {
     return net::mix32_avalanche(net::hash_flow(options_.hasher, key));
   }
 
-  /// Distance of slot `i`'s resident from its home slot, in probe steps.
-  [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
-    return (i - (hashes_[i] & mask_)) & mask_;
-  }
-
   struct Probe {
     std::size_t slot = kNpos;      ///< kNpos when absent
     std::uint32_t examined = 0;    ///< key comparisons performed
   };
-  [[nodiscard]] Probe find_slot(std::uint32_t h,
+  /// Group probe of one array: examines 16-aligned tag groups with one
+  /// vector compare each (core/simd.h) until the probe run's first empty
+  /// slot. Capacity is a power of two >= 16, so groups never straddle the
+  /// array end and the wrap is a mask on the group base. Slots before the
+  /// home slot in its own group are masked out — they belong to an earlier
+  /// probe run.
+  [[nodiscard]] Probe find_slot(const Slots& slots, std::uint32_t h,
                                 const net::FlowKey& key) const noexcept;
-  /// Group-probed variant of find_slot (Options::group_probe): examines
-  /// 16-aligned tag groups with one vector compare each. Capacity is a
-  /// power of two >= 16, so groups never straddle the array end and the
-  /// wrap is a mask on the group base. Slots before the home slot in its
-  /// own group are masked out — they belong to an earlier probe run.
-  [[nodiscard]] Probe find_slot_grouped(std::uint32_t h,
-                                        const net::FlowKey& key) const noexcept;
+  /// Where a key lives: the array holding it (nullptr when absent), its
+  /// slot there, and the key comparisons made to find out.
+  struct Found {
+    Slots* slots = nullptr;
+    std::size_t slot = kNpos;
+    std::uint32_t examined = 0;
+  };
+  /// find_slot() over the live array, then, while migrating, the draining
+  /// one. Both probes' examined counts are charged: the paper's metric
+  /// counts every key compared, whichever array holds the key.
+  [[nodiscard]] Found locate(std::uint32_t h, const net::FlowKey& key) noexcept;
 
   /// The key stored in slab cell `index` (the PCB's own line 0).
   [[nodiscard]] const net::FlowKey& key_at(std::uint32_t index) const noexcept {
     return slab_.at(index).key;
   }
 
-  /// Robin-hood placement of a (pre-hashed) PCB index; the caller has
-  /// already established the key is absent and the load factor is
-  /// acceptable. Returns the longest probe distance the placement walked
-  /// (the overload watermark signal).
-  std::size_t place(std::uint32_t h, std::uint32_t index);
-  /// Backward-shift removal of the resident at slot `i`.
-  void remove_at(std::size_t i);
   /// Doubles the slot array and re-places every resident (stop-the-world;
   /// the non-incremental growth path).
   void grow();
@@ -214,31 +244,6 @@ class FlatDemuxer final : public Demuxer {
   void rehash_with_fresh_seed();
 
   // --- incremental migration (Options::incremental) ----------------------
-  // The previous slot array, kept fully probe-able while it drains. Only
-  // removal ever touches it (nothing is placed or displaced into it), so
-  // it stays a valid robin-hood table and slots [0, cursor) stay empty:
-  // backward-shift pulls entries *toward* the removal slot and vacates the
-  // tail of the run, never refilling the drained prefix.
-  struct OldTable {
-    std::size_t mask = 0;
-    std::size_t cursor = 0;     ///< slots [0, cursor) are drained
-    std::size_t residents = 0;  ///< entries not yet migrated
-    Tags tags;
-    Words hashes;
-    Words index;  ///< PCB slab index per slot
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return mask + 1; }
-    [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
-      return (i - (hashes[i] & mask)) & mask;
-    }
-  };
-
-  /// Scalar probe of the draining old array (no group probing: the old
-  /// array is cold by construction and dies within one migration).
-  [[nodiscard]] Probe find_slot_old(std::uint32_t h,
-                                    const net::FlowKey& key) const noexcept;
-  /// Backward-shift removal in the old array (keeps it robin-hood valid).
-  void remove_at_old(std::size_t i);
   /// Allocates the doubled array and swings the current one behind the
   /// drain cursor. Returns false — after stepping the degradation ladder —
   /// if the allocation failed (injected or real).
@@ -250,12 +255,13 @@ class FlatDemuxer final : public Demuxer {
   /// Drains the old array completely (the rare stop-the-world fallback:
   /// a second growth trigger or a seed rotation mid-migration).
   void finish_migration();
+  /// Frees the drained old array and reports the migration complete.
+  void end_migration();
   /// Ladder rung 1: growth refused by the allocator. Blocks growth and
   /// arms an exponentially backed-off retry countdown (in inserts).
   void defer_migration();
 
   Options options_;
-  std::size_t mask_ = 0;   ///< capacity - 1 (capacity is a power of two)
   std::size_t size_ = 0;   ///< residents across the live and old arrays
 
   // Overload / shedding state (see DESIGN.md "Adversarial resilience").
@@ -269,15 +275,16 @@ class FlatDemuxer final : public Demuxer {
   bool grow_blocked_ = false;       ///< allocation for the next array failed
   std::uint64_t grow_backoff_ = 0;  ///< current retry backoff, in inserts
   std::uint64_t grow_retry_in_ = 0;  ///< inserts until the next retry
-  // Structure-of-arrays slot storage. Parallel, all sized capacity():
-  // a probe touches tags_ (1 B/slot), then hashes_ for the robin-hood
-  // bound (4 B/slot), and on a fingerprint match index_ (4 B/slot) and
-  // the PCB it names, whose line 0 holds the key. A hit is a tag group and
-  // an index line, loaded in parallel, then the PCB.
-  Tags tags_;
-  Words hashes_;
-  Words index_;
-  std::unique_ptr<OldTable> old_;  ///< non-null while migrating
+  Slots live_;
+  // The previous array while an incremental migration drains it (empty
+  // otherwise), kept fully probe-able. Only removal ever touches it
+  // (nothing is placed or displaced into it), so it stays a valid
+  // robin-hood table and slots [0, old_cursor_) stay empty: backward-shift
+  // pulls entries *toward* the removal slot and vacates the tail of the
+  // run, never refilling the drained prefix.
+  Slots old_;
+  std::size_t old_cursor_ = 0;     ///< old_ slots [0, cursor) are drained
+  std::size_t old_residents_ = 0;  ///< old_ entries not yet migrated
   PcbSlab slab_;  ///< every resident PCB, live and old arrays alike
 };
 

@@ -1,7 +1,5 @@
 #include "core/hashed_mtf.h"
 
-#include "core/fault_inject.h"
-
 #include <stdexcept>
 
 namespace tcpdemux::core {
@@ -16,7 +14,7 @@ HashedMtfDemuxer::HashedMtfDemuxer(Options options) : options_(options) {
 Pcb* HashedMtfDemuxer::insert(const net::FlowKey& key) {
   PcbList& list = buckets_[chain_of(key)];
   if (list.find_scan(key).pcb != nullptr) return nullptr;
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (insert_refused()) return nullptr;
   Pcb* pcb = list.emplace_front(key, next_conn_id());
   ++size_;
   telemetry_->on_insert();

@@ -33,14 +33,17 @@ RcuSequentDemuxer::~RcuSequentDemuxer() {
   }
 }
 
-Pcb* RcuSequentDemuxer::insert(const net::FlowKey& key) {
+Pcb* RcuSequentDemuxer::insert(const net::FlowKey& key,
+                               const std::function<bool()>& refused) {
   Bucket& b = *buckets_[chain_of(key)];
   const MutexLock lock(b.mutex);
   for (Node* n = b.head.load(std::memory_order_relaxed); n != nullptr;
        n = n->next.load(std::memory_order_relaxed)) {
     if (n->pcb.key == key) return nullptr;
   }
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (refused ? refused() : FaultInjector::instance().poll_alloc()) {
+    return nullptr;
+  }
   // NOLINTNEXTLINE(raw-owning-memory): chain nodes are epoch-owned.
   Node* node = new Node(key, conn_seq_.fetch_add(1, std::memory_order_relaxed));
   node->next.store(b.head.load(std::memory_order_relaxed),

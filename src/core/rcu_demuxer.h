@@ -83,7 +83,11 @@ class RcuSequentDemuxer {
   RcuSequentDemuxer(const RcuSequentDemuxer&) = delete;
   RcuSequentDemuxer& operator=(const RcuSequentDemuxer&) = delete;
 
-  Pcb* insert(const net::FlowKey& key);
+  /// Inserts a PCB for `key`; nullptr if the key is present or the
+  /// insert is refused. `refused` is the allocation gate, called under the
+  /// chain lock after the duplicate check (default: the fault injector).
+  Pcb* insert(const net::FlowKey& key,
+              const std::function<bool()>& refused = {});
   bool erase(const net::FlowKey& key);
   LookupResult lookup(const net::FlowKey& key,
                       SegmentKind kind = SegmentKind::kData);
@@ -179,7 +183,7 @@ class RcuDemuxerAdapter final : public Demuxer {
       : inner_(options) {}
 
   Pcb* insert(const net::FlowKey& key) override {
-    Pcb* pcb = inner_.insert(key);
+    Pcb* pcb = inner_.insert(key, [this] { return insert_refused(); });
     if (pcb != nullptr) telemetry_->on_insert();
     return pcb;
   }

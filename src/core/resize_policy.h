@@ -1,6 +1,6 @@
 // Shared tuning for bounded-pause incremental resize (see DESIGN.md
 // "Incremental resize & degradation ladder"). Every growing backend
-// (dynamic, flat, flat16) drains its outgoing table with the same batch
+// (dynamic, flat16) drains its outgoing table with the same batch
 // discipline so the worst-case per-operation pause is O(batch) regardless
 // of table size.
 #ifndef TCPDEMUX_CORE_RESIZE_POLICY_H_

@@ -1,12 +1,10 @@
 #include "core/send_receive_cache.h"
 
-#include "core/fault_inject.h"
-
 namespace tcpdemux::core {
 
 Pcb* SendReceiveCacheDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (insert_refused()) return nullptr;
   telemetry_->on_insert();
   return list_.emplace_front(key, next_conn_id());
 }

@@ -4,7 +4,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "core/fault_inject.h"
 #include "core/prefetch.h"
 
 namespace tcpdemux::core {
@@ -24,7 +23,7 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  if (FaultInjector::instance().poll_alloc()) return nullptr;
+  if (insert_refused()) return nullptr;
   Pcb* pcb = b.list.emplace_front(key, next_conn_id());
   ++size_;
   telemetry_->on_insert();

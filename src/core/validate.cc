@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -427,14 +428,28 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   ValidationReport report;
   Errors errors(report);
   const std::size_t capacity = demuxer.capacity();
+  const auto& live = demuxer.live_;
+  const auto& old = demuxer.old_;
   if (capacity == 0 || (capacity & (capacity - 1)) != 0) {
     errors.add("flat: capacity ", capacity, " is not a power of two");
     return report;
   }
-  if (demuxer.tags_.size() != capacity || demuxer.hashes_.size() != capacity ||
-      demuxer.index_.size() != capacity) {
-    errors.add("flat: slot arrays are not all sized to capacity ", capacity);
-    return report;
+  // Each array's parallel slot arrays share its capacity, which its mask
+  // names; the old array (when migrating) drains into one exactly one
+  // doubling larger.
+  for (const auto* slots : {&live, &old}) {
+    const std::size_t cap = slots->capacity();
+    if (cap == 0) continue;
+    if (slots->hashes.size() != cap || slots->index.size() != cap ||
+        slots->mask + 1 != cap) {
+      errors.add(slots == &live ? "flat" : "flat(old)",
+                 ": slot arrays are not all sized to capacity ", cap);
+      return report;
+    }
+  }
+  if (demuxer.migrating() && old.capacity() * 2 != capacity) {
+    errors.add("flat(old): old capacity ", old.capacity(),
+               " is not half the live capacity ", capacity);
   }
 
   // PCB ownership: the slab's free list names distinct cells below the
@@ -457,119 +472,95 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   }
   std::vector<bool> named(high_water, false);
 
-  // Per-table slot checks; the key set is shared across the live and (when
+  // Per-array slot checks; the key set is shared across the live and (when
   // migrating) old arrays so a key resident in both is caught as a
-  // duplicate. Returns the table's occupied-slot count.
+  // duplicate. Returns the array's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
-  const auto check_table =
-      [&](const FlatDemuxer::Tags& tags, const FlatDemuxer::Words& hashes,
-          const FlatDemuxer::Words& index, std::size_t mask,
-          const char* what) {
-        std::size_t occupied = 0;
-        const std::size_t cap = mask + 1;
-        for (std::size_t i = 0; i < cap; ++i) {
-          if (tags[i] == 0) continue;
-          ++occupied;
-          const std::uint32_t idx = index[i];
-          if (idx >= high_water) {
-            errors.add(what, " slot ", i, ": PCB index ", idx,
-                       " is at or beyond the slab high-water mark ",
-                       high_water);
-            continue;
-          }
-          if (freed[idx]) {
-            errors.add(what, " slot ", i, ": names freed PCB index ", idx);
-            continue;
-          }
-          if (named[idx]) {
-            errors.add(what, " slot ", i, ": names PCB index ", idx,
-                       " already named by another slot");
-            continue;
-          }
-          named[idx] = true;
-          // Tag <-> hash <-> key agreement: the fingerprint array and the
-          // hash array must both describe the key of the PCB the slot
-          // names, or lookups silently stop finding it.
-          const net::FlowKey& slot_key = slab.at(idx).key;
-          const std::uint32_t h = demuxer.hash_of(slot_key);
-          if (hashes[i] != h) {
-            errors.add(what, " slot ", i, ": stored hash ", hashes[i],
-                       " != hash of stored key ", h);
-          }
-          if (tags[i] != FlatDemuxer::tag_of(hashes[i])) {
-            errors.add(what, " slot ", i, ": tag ",
-                       static_cast<unsigned>(tags[i]),
-                       " disagrees with stored hash's fingerprint ",
-                       static_cast<unsigned>(FlatDemuxer::tag_of(hashes[i])));
-          }
-          // Robin-hood probe invariant: a displaced resident implies an
-          // occupied predecessor at most one step closer to its own home.
-          // A violation breaks the miss early-exit (keys become
-          // unreachable).
-          const std::size_t dist = (i - (hashes[i] & mask)) & mask;
-          if (dist > 0) {
-            const std::size_t prev = (i - 1) & mask;
-            const std::size_t prev_dist =
-                (prev - (hashes[prev] & mask)) & mask;
-            if (tags[prev] == 0) {
-              errors.add(what, " slot ", i, ": probe distance ", dist,
-                         " but predecessor slot is empty");
-            } else if (prev_dist + 1 < dist) {
-              errors.add(what, " slot ", i, ": probe distance ", dist,
-                         " exceeds predecessor's by more than one (",
-                         prev_dist, ")");
-            }
-          }
-          if (!keys.insert(slot_key).second) {
-            errors.add(what, ": duplicate key ", slot_key.to_string());
-          }
+  const auto check_slots = [&](const FlatDemuxer::Slots& slots,
+                               const char* what) {
+    std::size_t occupied = 0;
+    for (std::size_t i = 0; i < slots.capacity(); ++i) {
+      if (slots.tags[i] == 0) continue;
+      ++occupied;
+      const std::uint32_t idx = slots.index[i];
+      if (idx >= high_water) {
+        errors.add(what, " slot ", i, ": PCB index ", idx,
+                   " is at or beyond the slab high-water mark ", high_water);
+        continue;
+      }
+      if (freed[idx]) {
+        errors.add(what, " slot ", i, ": names freed PCB index ", idx);
+        continue;
+      }
+      if (named[idx]) {
+        errors.add(what, " slot ", i, ": names PCB index ", idx,
+                   " already named by another slot");
+        continue;
+      }
+      named[idx] = true;
+      // Tag <-> hash <-> key agreement: the fingerprint array and the
+      // hash array must both describe the key of the PCB the slot names,
+      // or lookups silently stop finding it.
+      const net::FlowKey& slot_key = slab.at(idx).key;
+      const std::uint32_t h = demuxer.hash_of(slot_key);
+      if (slots.hashes[i] != h) {
+        errors.add(what, " slot ", i, ": stored hash ", slots.hashes[i],
+                   " != hash of stored key ", h);
+      }
+      if (slots.tags[i] != FlatDemuxer::tag_of(slots.hashes[i])) {
+        errors.add(what, " slot ", i, ": tag ",
+                   static_cast<unsigned>(slots.tags[i]),
+                   " disagrees with stored hash's fingerprint ",
+                   static_cast<unsigned>(FlatDemuxer::tag_of(slots.hashes[i])));
+      }
+      // Robin-hood probe invariant: a displaced resident implies an
+      // occupied predecessor at most one step closer to its own home. A
+      // violation ends the key's probe run before its slot (the key
+      // becomes unreachable).
+      const std::size_t dist = slots.probe_distance(i);
+      if (dist > 0) {
+        const std::size_t prev = (i - 1) & slots.mask;
+        if (slots.tags[prev] == 0) {
+          errors.add(what, " slot ", i, ": probe distance ", dist,
+                     " but predecessor slot is empty");
+        } else if (slots.probe_distance(prev) + 1 < dist) {
+          errors.add(what, " slot ", i, ": probe distance ", dist,
+                     " exceeds predecessor's by more than one (",
+                     slots.probe_distance(prev), ")");
         }
-        return occupied;
-      };
-
-  std::size_t occupied =
-      check_table(demuxer.tags_, demuxer.hashes_, demuxer.index_,
-                  demuxer.mask_, "flat");
-
-  if (demuxer.old_ != nullptr) {
-    const auto& old = *demuxer.old_;
-    const std::size_t old_capacity = old.mask + 1;
-    if (old.tags.size() != old_capacity ||
-        old.hashes.size() != old_capacity ||
-        old.index.size() != old_capacity) {
-      errors.add("flat(old): slot arrays are not all sized to capacity ",
-                 old_capacity);
-      return report;
+      }
+      if (!keys.insert(slot_key).second) {
+        errors.add(what, ": duplicate key ", slot_key.to_string());
+      }
     }
-    // The adjunct exists only while debt remains, and drains into a table
-    // exactly one doubling larger.
-    if (old.residents == 0) {
+    return occupied;
+  };
+
+  std::size_t occupied = check_slots(live, "flat");
+  if (demuxer.migrating()) {
+    // The old array exists only while debt remains. Drained-prefix
+    // invariant: the cursor advances only past empty slots and nothing is
+    // ever placed into the old array, so [0, cursor) stays empty for the
+    // whole migration.
+    if (demuxer.old_residents_ == 0) {
       errors.add("flat(old): migration adjunct present with zero residents");
     }
-    if (old_capacity * 2 != capacity) {
-      errors.add("flat(old): old capacity ", old_capacity,
-                 " is not half the live capacity ", capacity);
+    if (demuxer.old_cursor_ > old.capacity()) {
+      errors.add("flat(old): cursor ", demuxer.old_cursor_,
+                 " exceeds capacity ", old.capacity());
     }
-    // Drained-prefix invariant: the cursor advances only past empty slots
-    // and nothing is ever placed into the old array, so [0, cursor) stays
-    // empty for the whole migration.
-    if (old.cursor > old_capacity) {
-      errors.add("flat(old): cursor ", old.cursor, " exceeds capacity ",
-                 old_capacity);
-    }
-    for (std::size_t i = 0; i < std::min(old.cursor, old_capacity); ++i) {
+    for (std::size_t i = 0; i < std::min(demuxer.old_cursor_, old.capacity());
+         ++i) {
       if (old.tags[i] != 0) {
-        errors.add("flat(old): slot ", i,
-                   " in the drained prefix [0, cursor=", old.cursor,
-                   ") is occupied");
+        errors.add("flat(old): slot ", i, " in the drained prefix [0, cursor=",
+                   demuxer.old_cursor_, ") is occupied");
         break;
       }
     }
-    const std::size_t old_occupied = check_table(
-        old.tags, old.hashes, old.index, old.mask, "flat(old)");
-    if (old_occupied != old.residents) {
+    const std::size_t old_occupied = check_slots(old, "flat(old)");
+    if (old_occupied != demuxer.old_residents_) {
       errors.add("flat(old): occupied slots (", old_occupied,
-                 ") != residents counter (", old.residents, ")");
+                 ") != residents counter (", demuxer.old_residents_, ")");
     }
     occupied += old_occupied;
   }
@@ -771,20 +762,21 @@ void ValidatorTestAccess::rcu_adjust_size(RcuSequentDemuxer& d,
 }
 
 SlotArray<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
-  return d.tags_;
+  return d.live_.tags;
 }
 std::size_t& ValidatorTestAccess::flat_size(FlatDemuxer& d) {
   return d.size_;
 }
 SlotArray<std::uint32_t>& ValidatorTestAccess::flat_index(FlatDemuxer& d) {
-  return d.index_;
+  return d.live_.index;
 }
 void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
                                          std::size_t to) {
-  d.tags_[to] = d.tags_[from];
-  d.hashes_[to] = d.hashes_[from];
-  d.index_[to] = d.index_[from];
-  d.tags_[from] = 0;
+  auto& live = d.live_;
+  live.tags[to] = live.tags[from];
+  live.hashes[to] = live.hashes[from];
+  live.index[to] = live.index[from];
+  live.tags[from] = 0;
 }
 
 }  // namespace tcpdemux::core

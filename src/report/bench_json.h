@@ -16,7 +16,7 @@
 namespace tcpdemux::report {
 
 /// One measured case: `bench` is the binary ("wallclock_lookup"), `name`
-/// the case within it ("flat:4096 users=20000"). Metrics keep insertion
+/// the case within it ("flat16:4096 users=20000"). Metrics keep insertion
 /// order so the JSON diffs stably run-to-run.
 struct BenchRecord {
   std::string bench;

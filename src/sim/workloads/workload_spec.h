@@ -1,6 +1,6 @@
 // WorkloadSpec: one grammar for every scenario generator, mirroring the
 // demuxer registry's spec strings so a scenario is fully named by a pair
-// of strings ("zipf:flows=200000:s=1.1" x "flat:4096:crc32").
+// of strings ("zipf:flows=200000:s=1.1" x "flat16:4096:crc32").
 //
 // Grammar:  <kind>[:<token>]...   token := <key>=<value> | <flag>
 //

@@ -8,12 +8,18 @@
 namespace tcpdemux::core {
 namespace {
 
+std::string parse_error(std::string_view spec) {
+  std::string error;
+  EXPECT_FALSE(parse_demux_spec(spec, &error).has_value()) << spec;
+  return error;
+}
+
 TEST(Registry, MakesEveryAlgorithm) {
   for (const Algorithm algo :
        {Algorithm::kBsd, Algorithm::kMtf, Algorithm::kSrCache,
         Algorithm::kSequent, Algorithm::kHashedMtf,
         Algorithm::kConnectionId, Algorithm::kDynamic, Algorithm::kRcu,
-        Algorithm::kFlat}) {
+        Algorithm::kFlat16}) {
     DemuxConfig config;
     config.algorithm = algo;
     const auto d = make_demuxer(config);
@@ -32,7 +38,6 @@ TEST(Registry, ParseSimpleNames) {
            {"hashed_mtf", Algorithm::kHashedMtf},
            {"connection_id", Algorithm::kConnectionId},
            {"rcu", Algorithm::kRcu},
-           {"flat", Algorithm::kFlat},
            {"flat16", Algorithm::kFlat16}}) {
     const auto config = parse_demux_spec(spec);
     ASSERT_TRUE(config.has_value()) << spec;
@@ -136,37 +141,20 @@ TEST(Registry, DynamicDefaultConfig) {
   EXPECT_EQ(d->size(), 0u);
 }
 
-TEST(Registry, ParseFlatSpec) {
-  const auto config = parse_demux_spec("flat:4096:crc32");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->algorithm, Algorithm::kFlat);
-  EXPECT_EQ(config->flat_capacity, 4096u);
-  EXPECT_EQ(config->hasher, net::HasherKind::kCrc32);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "flat(cap=4096,crc32)");
-}
-
-TEST(Registry, FlatDefaultConfig) {
-  const auto config = parse_demux_spec("flat");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->flat_capacity, 1024u);
-  const auto d = make_demuxer(*config);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->name(), "flat(cap=1024,xor_fold)");
-}
-
 TEST(Registry, FlatCapacityRoundsUpToPowerOfTwo) {
   // The table enforces power-of-two capacity; the registry passes the
   // requested value through and the constructor rounds up.
-  const auto d = make_demuxer(*parse_demux_spec("flat:1000"));
-  EXPECT_EQ(d->name(), "flat(cap=1024,xor_fold)");
+  const auto d = make_demuxer(*parse_demux_spec("flat16:1000"));
+  EXPECT_EQ(d->name(), "flat16(cap=1024,xor_fold)");
 }
 
 TEST(Registry, ParseRejectsBadFlatSpec) {
-  EXPECT_FALSE(parse_demux_spec("flat:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:abc").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32:nocache").has_value());
+  // The byte-at-a-time `flat` probe is gone; its spelling is an unknown
+  // algorithm, bare, with parameters, or nested under sharded.
+  EXPECT_EQ(parse_error("flat"), "unknown algorithm 'flat'");
+  EXPECT_EQ(parse_error("flat:64:crc32"), "unknown algorithm 'flat'");
+  EXPECT_EQ(parse_error("sharded:2:flat"),
+            "bad inner spec 'flat': unknown algorithm 'flat'");
 }
 
 TEST(Registry, ParseFlat16Spec) {
@@ -187,6 +175,7 @@ TEST(Registry, Flat16DefaultConfig) {
 
 TEST(Registry, ParseRejectsBadFlat16Specs) {
   EXPECT_FALSE(parse_demux_spec("flat16:0").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:abc").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:sha256").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:crc32:nocache").has_value());
 }
@@ -204,21 +193,15 @@ TEST(Registry, ConfiguredDemuxerReflectsSpec) {
 // bare nullopt) unacceptable: a typo deep inside a composed spec must
 // come back with the offending token named.
 
-std::string parse_error(std::string_view spec) {
-  std::string error;
-  EXPECT_FALSE(parse_demux_spec(spec, &error).has_value()) << spec;
-  return error;
-}
-
 TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   // One duplicated-token probe per option, across the families that
   // accept it; all must fail, none may silently keep either copy.
-  EXPECT_FALSE(parse_demux_spec("flat:incremental:incremental").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:incremental:incremental").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:19:max=5:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:max=100:max=200").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:max=100:max=200").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:rehash:rehash").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:rehash:rehash").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:nocache:nocache").has_value());
@@ -227,10 +210,10 @@ TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
 
 TEST(Registry, ParseRejectsDuplicateHasherTokens) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32:jenkins").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32:crc32").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:crc32:crc32").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:crc32c@1:crc32c@2").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:xor_fold:siphash@5eed").has_value());
-  EXPECT_EQ(parse_error("flat:64:crc32:crc32"),
+  EXPECT_EQ(parse_error("flat16:64:crc32:crc32"),
             "duplicate hasher token 'crc32'");
 }
 
@@ -238,7 +221,7 @@ TEST(Registry, ParseRejectsMisplacedCountToken) {
   // The count is positional; a number after a non-count token is a
   // different mistake than an unknown token and says so.
   EXPECT_FALSE(parse_demux_spec("sequent:crc32:19").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:rehash:64").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:rehash:64").has_value());
   EXPECT_EQ(parse_error("sequent:crc32:19"),
             "count token '19' must come directly after the algorithm name");
 }
@@ -250,14 +233,14 @@ TEST(Registry, ParseAcceptsHasherAndOptionsInAnyOrder) {
   const auto dynamic = parse_demux_spec("dynamic:incremental");
   ASSERT_TRUE(dynamic.has_value());
   EXPECT_TRUE(dynamic->incremental);
-  const auto flat = parse_demux_spec("flat:rehash:crc32c");
+  const auto flat = parse_demux_spec("flat16:rehash:crc32c");
   ASSERT_TRUE(flat.has_value());
   EXPECT_TRUE(flat->rehash_on_overload);
   EXPECT_EQ(flat->hasher, net::HasherKind::kCrc32c);
   const auto sequent = parse_demux_spec("sequent:nocache:crc32");
   ASSERT_TRUE(sequent.has_value());
   EXPECT_FALSE(sequent->per_chain_cache);
-  const auto capped = parse_demux_spec("flat:64:max=100:crc32:incremental");
+  const auto capped = parse_demux_spec("flat16:64:max=100:crc32:incremental");
   ASSERT_TRUE(capped.has_value());
   EXPECT_EQ(capped->flat_capacity, 64u);
   EXPECT_EQ(capped->max_pcbs, 100u);
@@ -266,8 +249,8 @@ TEST(Registry, ParseAcceptsHasherAndOptionsInAnyOrder) {
 
 TEST(Registry, ParseRejectsMangledSeedSuffixes) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32@1f@2e").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32@").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32@123456789").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:crc32@").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat16:64:crc32@123456789").has_value());
   EXPECT_FALSE(parse_demux_spec("flat16:64:siphash@zz").has_value());
   EXPECT_EQ(parse_error("sequent:19:crc32@1f@2e"),
             "bad seed suffix in 'crc32@1f@2e' (want one '@' and 1-8 hex digits)");
@@ -282,25 +265,26 @@ TEST(Registry, ParseShardedGrammar) {
 
   EXPECT_FALSE(parse_demux_spec("sharded").has_value());
   EXPECT_FALSE(parse_demux_spec("sharded:4").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:0:flat").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:abc:flat").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:2:sharded:2:flat").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:0:flat16").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:abc:flat16").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:2:sharded:2:flat16").has_value());
   EXPECT_FALSE(parse_demux_spec("sharded:2:quantum").has_value());
-  EXPECT_EQ(parse_error("sharded:2:sharded:2:flat"),
+  EXPECT_EQ(parse_error("sharded:2:sharded:2:flat16"),
             "sharded cannot nest another sharded spec");
 }
 
 TEST(Registry, ErrorOverloadNamesTheOffendingToken) {
-  EXPECT_EQ(parse_error("flat:incremental:incremental"),
+  EXPECT_EQ(parse_error("flat16:incremental:incremental"),
             "duplicate 'incremental' token");
   EXPECT_EQ(parse_error("sequent:19:max=5:max=9"), "duplicate 'max=N' token");
-  EXPECT_EQ(parse_error("flat:64:nocache"), "'nocache' is not supported by flat");
+  EXPECT_EQ(parse_error("flat16:64:nocache"),
+            "'nocache' is not supported by flat16");
   EXPECT_EQ(parse_error("sequent:19:turbo"), "unknown token 'turbo'");
   EXPECT_EQ(parse_error("mtf:incremental"), "mtf takes no ':' parameters");
   // Inner-spec failures surface wrapped, so a bad token three levels into
   // a sharded spec still names itself.
-  const std::string nested = parse_error("sharded:2:flat:64:max=1:max=2");
-  EXPECT_NE(nested.find("bad inner spec 'flat:64:max=1:max=2'"),
+  const std::string nested = parse_error("sharded:2:flat16:64:max=1:max=2");
+  EXPECT_NE(nested.find("bad inner spec 'flat16:64:max=1:max=2'"),
             std::string::npos)
       << nested;
   EXPECT_NE(nested.find("duplicate 'max=N' token"), std::string::npos)

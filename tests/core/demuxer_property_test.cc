@@ -238,8 +238,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "sequent:19:bsd_modulo", "hashed_mtf",
                       "hashed_mtf:101:crc32", "connection_id", "dynamic",
                       "dynamic:41:jenkins", "rcu", "rcu:101:crc32",
-                      "rcu:19:xor_fold:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "flat16", "flat16:64",
+                      "rcu:19:xor_fold:nocache", "flat16", "flat16:64",
                       "flat16:1024:crc32"),
     [](const auto& info) {
       std::string name = info.param;

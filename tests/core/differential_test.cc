@@ -25,7 +25,6 @@ const char* kSpecs[] = {"bsd",           "mtf",
                         "sequent:1",     "sequent:101:toeplitz",
                         "hashed_mtf",    "dynamic",
                         "connection_id", "rcu:19:crc32",
-                        "flat",          "flat:64:crc32",
                         "flat16",        "flat16:64:crc32",
                         "sharded:4:flat16",
                         "sharded:3:sequent:19:crc32"};

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <unordered_set>
 #include <vector>
 
@@ -252,7 +253,102 @@ TEST(FlatDemuxerDeathTest, ReadThroughErasedPcbIsReportedUnderAsan) {
 
 TEST(FlatDemuxerTest, NameReportsCapacityAndHasher) {
   FlatDemuxer d(FlatDemuxer::Options{256, net::HasherKind::kCrc32});
-  EXPECT_EQ(d.name(), "flat(cap=256,crc32)");
+  EXPECT_EQ(d.name(), "flat16(cap=256,crc32)");
+}
+
+// While an incremental migration drains, residents still in the old array
+// are found by the same group probe as the live array's. The keys are
+// chosen by their home slot in the 64-slot array that becomes the old one:
+//   * 16 keys homed at slot 63 occupy slots 63 and 0..14, so their probe
+//     runs wrap the array end;
+//   * 20 keys homed at slot 8 follow them in slots 15..34, so their runs
+//     start in the group at slot 0 and cross into the group at slot 16;
+//   * 20 keys homed at slots 36..55, one each, fill the array to the 7/8
+//     growth trigger.
+// Robin-hood keeps each cluster in insertion order, and the drain moves
+// the lowest occupied slot first, so the newest members of each cluster
+// stay in the old array longest; the probes below visit them first.
+TEST(FlatDemuxerTest, DrainingArrayFindsEveryResident) {
+  static constexpr std::size_t kOldCapacity = 64;
+  const auto fill = [](FlatDemuxer& d) {
+    std::vector<net::FlowKey> wrap;
+    std::vector<net::FlowKey> straddle;
+    std::vector<net::FlowKey> fillers;
+    std::vector<bool> filled(kOldCapacity, false);
+    for (std::uint32_t i = 0; fillers.size() < 20 || wrap.size() < 16 ||
+                              straddle.size() < 20;
+         ++i) {
+      const net::FlowKey k = key(i);
+      const std::size_t home =
+          net::mix32_avalanche(net::hash_flow(d.hash_spec(), k)) &
+          (kOldCapacity - 1);
+      if (home == 63 && wrap.size() < 16) {
+        wrap.push_back(k);
+      } else if (home == 8 && straddle.size() < 20) {
+        straddle.push_back(k);
+      } else if (home >= 36 && home <= 55 && !filled[home]) {
+        filled[home] = true;
+        fillers.push_back(k);
+      }
+    }
+    for (const auto* group : {&wrap, &straddle, &fillers}) {
+      for (const net::FlowKey& k : *group) EXPECT_NE(d.insert(k), nullptr);
+    }
+    EXPECT_FALSE(d.migrating());
+    EXPECT_EQ(d.capacity(), kOldCapacity);
+    // The 57th resident doubles the table; that insert drains one batch
+    // (8 residents: wrapped members of the slot-63 cluster).
+    EXPECT_NE(d.insert(key(1U << 23)), nullptr);
+    EXPECT_TRUE(d.migrating());
+    EXPECT_EQ(d.migration_debt(), 48u);
+    EXPECT_EQ(validate_demuxer(d).to_string(), "");
+    // Newest first: the order the probes below visit them.
+    std::vector<net::FlowKey> order(wrap.rbegin(), wrap.rend());
+    order.insert(order.end(), straddle.rbegin(), straddle.rend());
+    order.insert(order.end(), fillers.begin(), fillers.end());
+    order.push_back(key(1U << 23));
+    return order;
+  };
+
+  // A duplicate insert probes both arrays and changes nothing, so every
+  // old resident is probed for in the same state.
+  FlatDemuxer dup(FlatDemuxer::Options{.initial_capacity = kOldCapacity,
+                                       .incremental = true});
+  const std::vector<net::FlowKey> keys = fill(dup);
+  for (const net::FlowKey& k : keys) {
+    EXPECT_EQ(dup.insert(k), nullptr) << k.to_string();
+  }
+  EXPECT_EQ(dup.size(), keys.size());
+  EXPECT_EQ(dup.migration_debt(), 48u);
+  EXPECT_EQ(validate_demuxer(dup).to_string(), "");
+
+  // Each lookup finds its key, then migrates one resident.
+  FlatDemuxer looked(FlatDemuxer::Options{.initial_capacity = kOldCapacity,
+                                          .incremental = true});
+  fill(looked);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i < 40) {
+      EXPECT_TRUE(looked.migrating()) << i;
+    }
+    const LookupResult r = looked.lookup(keys[i]);
+    ASSERT_NE(r.pcb, nullptr) << keys[i].to_string();
+    EXPECT_EQ(r.pcb->key, keys[i]);
+    EXPECT_EQ(validate_demuxer(looked).to_string(), "") << i;
+  }
+
+  // Each erase removes its key, then migrates a batch of eight.
+  FlatDemuxer erased(FlatDemuxer::Options{.initial_capacity = kOldCapacity,
+                                          .incremental = true});
+  fill(erased);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i < 5) {
+      EXPECT_TRUE(erased.migrating()) << i;
+    }
+    ASSERT_TRUE(erased.erase(keys[i])) << keys[i].to_string();
+    EXPECT_EQ(erased.lookup(keys[i]).pcb, nullptr);
+    EXPECT_EQ(erased.size(), keys.size() - i - 1);
+    EXPECT_EQ(validate_demuxer(erased).to_string(), "") << i;
+  }
 }
 
 TEST(FlatDemuxerTest, BatchMatchesScalarExactly) {

@@ -280,14 +280,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bsd", "mtf", "srcache", "connection_id:256", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf:19",
                       "dynamic:5:crc32", "rcu",
-                      "rcu:7:crc32:nocache", "flat",
-                      "flat:64:crc32", "flat16", "flat16:64:crc32",
+                      "rcu:7:crc32:nocache", "flat16", "flat16:64:crc32",
                       // Bounded-pause incremental resize: the fuzz op mix
                       // drives growth through the two-table drain (see
                       // TCPDEMUX_FUZZ_RESIZE_EVERY for forcing extra
                       // steps); every growing backend runs it.
-                      "dynamic:5:crc32:incremental", "flat:64:incremental",
-                      "flat16:64:incremental",
+                      "dynamic:5:crc32:incremental", "flat16:64:incremental",
                       // Sharded fleet: per-shard structures, the cross-shard
                       // no-duplicate-key invariant, and the merged telemetry
                       // ledger must all stay bit-exact under the op mix.
@@ -306,18 +304,17 @@ INSTANTIATE_TEST_SUITE_P(
                       "sequent:19:xor_fold:rehash",
                       "sequent:19:siphash@5eed", "hashed_mtf:19",
                       "dynamic:5:xor_fold", "rcu:19:xor_fold",
-                      "flat:64:xor_fold", "flat:64:xor_fold:rehash",
-                      "flat:64:siphash@5eed", "flat16:64:xor_fold",
-                      "flat16:64:xor_fold:rehash", "flat16:64:siphash@5eed",
+                      "flat16:64:xor_fold", "flat16:64:xor_fold:rehash",
+                      "flat16:64:siphash@5eed",
                       // Incremental resize under the collided pool: the
                       // drain must cope with one saturated probe run /
                       // one giant chain spanning both tables.
                       "dynamic:5:xor_fold:incremental",
-                      "flat:64:xor_fold:incremental",
+                      "flat16:64:xor_fold:incremental",
                       "flat16:64:xor_fold:rehash:incremental",
                       // Sharded under the collided pool: Toeplitz steering
                       // keeps spreading keys whose inner hash collapses.
-                      "sharded:4:flat:64:xor_fold",
+                      "sharded:4:flat16:64:xor_fold",
                       "sharded:2:sequent:19:siphash@5eed"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);

@@ -224,9 +224,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bsd", "mtf", "srcache", "sequent:19:crc32",
                       "hashed_mtf", "connection_id", "dynamic:5:crc32",
                       "dynamic:5:crc32:incremental", "rcu:19:crc32",
-                      "flat:16", "flat:16:crc32:incremental", "flat16:16",
+                      "flat16:16", "flat16:16:crc32:incremental",
                       "flat16:16:crc32c:incremental", "sharded:4:flat16:16",
-                      "sharded:2:flat:16:incremental",
+                      "sharded:2:flat16:16:incremental",
                       "sharded:3:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

@@ -101,8 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllDemuxers, LookupBatchParity,
     ::testing::Values("bsd", "mtf", "srcache", "connection_id", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf", "dynamic:5",
-                      "rcu", "rcu:7:crc32:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "flat16", "flat16:64",
+                      "rcu", "rcu:7:crc32:nocache", "flat16", "flat16:64",
                       "flat16:1024:crc32", "sharded:4:flat16",
                       "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {

@@ -31,9 +31,9 @@ const char* kSpecs[] = {
     "srcache",       "sequent:19:crc32",
     "hashed_mtf",    "dynamic",
     "connection_id", "rcu:19:crc32",
-    "flat:256",      "flat:256:crc32",
-    "flat16:256",    "flat16:256:crc32c",
-    "sharded:4:flat:256",
+    "flat16:256",    "flat16:256:crc32",
+    "flat16:256:crc32c",
+    "sharded:4:flat16:256",
     "sharded:2:sequent:19:crc32",
 };
 

@@ -123,7 +123,7 @@ TEST(ShardedDemuxer, SeedRotationLosesNoConnections) {
 }
 
 TEST(ShardedDemuxer, OccupancyReportsPerShardSizes) {
-  ShardedDemuxer demuxer = make_sharded(4, "flat:64");
+  ShardedDemuxer demuxer = make_sharded(4, "flat16:64");
   for (std::uint32_t i = 0; i < 100; ++i) demuxer.insert(key(i));
   const std::vector<std::size_t> occ = demuxer.occupancy();
   ASSERT_EQ(occ.size(), 4u);

@@ -49,8 +49,7 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
   const char* specs[] = {"bsd",        "mtf",         "srcache",
                          "connection_id", "sequent",  "sequent:7:crc32:nocache",
                          "hashed_mtf", "dynamic:5",   "rcu",
-                         "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                         "flat16", "flat16:64:crc32",
+                         "rcu:7:crc32:nocache", "flat16", "flat16:64:crc32",
                          "sharded:4:flat16", "sharded:2:sequent:19:crc32"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
@@ -68,8 +67,8 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
 
 TEST(ValidateTest, EmptyStructuresValidateClean) {
   const char* specs[] = {"bsd", "mtf", "srcache", "connection_id",
-                         "sequent", "hashed_mtf", "dynamic", "rcu", "flat",
-                         "flat16", "sharded:4:flat16"};
+                         "sequent", "hashed_mtf", "dynamic", "rcu", "flat16",
+                         "sharded:4:flat16"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto demuxer = make_demuxer(*parse_demux_spec(spec));

@@ -112,8 +112,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, WildcardProperty,
                                            "sequent", "sequent:101:crc32",
                                            "hashed_mtf", "dynamic",
                                            "connection_id", "rcu",
-                                           "rcu:101:crc32", "flat",
-                                           "flat:64:crc32", "flat16",
+                                           "rcu:101:crc32", "flat16",
                                            "flat16:64:crc32",
                                            "sharded:4:flat16",
                                            "sharded:2:sequent:19:crc32"),

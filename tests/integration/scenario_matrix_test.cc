@@ -35,8 +35,7 @@ const std::vector<std::string>& scenario_specs() {
 const std::vector<std::string>& demuxer_specs() {
   static const std::vector<std::string> specs = {
       "bsd",     "mtf",           "srcache",        "sequent:19:crc32",
-      "dynamic", "rcu:61:crc32",  "flat:1024:crc32",
-      "flat16:1024:crc32"};
+      "dynamic", "rcu:61:crc32",  "flat16:1024:crc32"};
   return specs;
 }
 

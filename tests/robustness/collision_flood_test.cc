@@ -159,8 +159,8 @@ TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedFlat) {
     return replay_trace(flood.trace, flood.keys, *demuxer);
   };
 
-  const ReplayResult unkeyed = run("flat:4096:xor_fold");
-  const ReplayResult keyed = run("flat:4096:siphash@5eed");
+  const ReplayResult unkeyed = run("flat16:4096:xor_fold");
+  const ReplayResult keyed = run("flat16:4096:siphash@5eed");
 
   ASSERT_EQ(unkeyed.misses, 0u);
   ASSERT_EQ(keyed.misses, 0u);

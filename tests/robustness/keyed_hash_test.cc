@@ -191,9 +191,8 @@ TEST(KeyedHash, RegistryThreadsSeedsIntoDemuxerNames) {
        "sequent(h=7,xor_fold@a,rehash,max=500)"},
       {"dynamic:5:jenkins@12:max=100", "dynamic(h=5,jenkins@12,max=100)"},
       {"rcu:101:siphash@2:nocache", "rcu(h=101,siphash@2,nocache)"},
-      {"flat:64:siphash@beef", "flat(cap=64,siphash@beef)"},
-      {"flat:256:crc32:rehash:max=128",
-       "flat(cap=256,crc32,rehash,max=128)"},
+      {"flat16:256:crc32:rehash:max=128",
+       "flat16(cap=256,crc32,rehash,max=128)"},
       {"flat16:64:siphash@beef", "flat16(cap=64,siphash@beef)"},
       {"flat16:256:crc32c:rehash:max=128",
        "flat16(cap=256,crc32c,rehash,max=128)"},
@@ -213,7 +212,6 @@ TEST(KeyedHash, RegistryRejectsSeedAndOptionMisuse) {
   // Options gated per algorithm.
   EXPECT_FALSE(core::parse_demux_spec("dynamic:5:crc32:rehash").has_value());
   EXPECT_FALSE(core::parse_demux_spec("rcu:19:crc32:max=4").has_value());
-  EXPECT_FALSE(core::parse_demux_spec("flat:64:crc32:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("flat16:64:crc32:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("bsd:rehash").has_value());
   // Duplicate and malformed options.

@@ -134,37 +134,6 @@ TEST(OverloadRehash, FlatRotatesSeedAndRebalancesUnderSlotFlood) {
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
 }
 
-TEST(OverloadRehash, Flat16RotatesSeedAndGroupProbeStillFindsEveryKey) {
-  // Same slot flood as the flat test, but with SIMD group probing on: the
-  // post-rotation table must answer every lookup through the grouped path.
-  FlatDemuxer demuxer({4096,
-                       {net::HasherKind::kCrc32, 0},
-                       /*rehash_on_overload=*/true, 0,
-                       /*group_probe=*/true});
-  sim::CollisionFloodParams params;
-  params.count = 200;
-  const auto mask = static_cast<std::uint32_t>(demuxer.capacity() - 1);
-  const auto flood = sim::craft_colliding_keys(
-      params,
-      [&](const net::FlowKey& k) {
-        return net::mix32_avalanche(net::hash_flow(demuxer.hash_spec(), k)) &
-               mask;
-      },
-      42);
-
-  for (const net::FlowKey& key : flood) {
-    ASSERT_NE(demuxer.insert(key), nullptr);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_GE(r.overload_rehashes, 1u);
-  EXPECT_TRUE(demuxer.hash_spec().keyed());
-  EXPECT_EQ(demuxer.size(), flood.size());
-  for (const net::FlowKey& key : flood) {
-    EXPECT_NE(demuxer.lookup(key).pcb, nullptr);
-  }
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
 TEST(OverloadRehash, FlatNeverFiresOnBenignTraffic) {
   FlatDemuxer demuxer(
       {1024, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});

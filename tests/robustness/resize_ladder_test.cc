@@ -40,7 +40,7 @@ net::FlowKey nth_key(std::uint32_t i) {
 }
 
 // Ceiling on blind insert loops: generously above every table's growth
-// trigger (largest is flat:64 at 56 entries) yet small enough that a
+// trigger (largest is flat16:64 at 56 entries) yet small enough that a
 // broken trigger fails the test instead of hanging it.
 constexpr std::uint32_t kMaxAttempts = 4096;
 
@@ -200,8 +200,7 @@ TEST_P(ResizeLadderTest, AllocFailureMidMigrationDrainsClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     GrowingBackends, ResizeLadderTest,
-    ::testing::Values("dynamic:5:crc32:incremental", "flat:64:incremental",
-                      "flat16:64:incremental"),
+    ::testing::Values("dynamic:5:crc32:incremental", "flat16:64:incremental"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

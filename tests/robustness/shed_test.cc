@@ -66,12 +66,6 @@ TEST(Shedding, FlatEnforcesMaxPcbs) {
   expect_cap_enforced(demuxer, 64);
 }
 
-TEST(Shedding, Flat16EnforcesMaxPcbs) {
-  FlatDemuxer demuxer({1024, net::HasherKind::kCrc32, false, /*max_pcbs=*/64,
-                       /*group_probe=*/true});
-  expect_cap_enforced(demuxer, 64);
-}
-
 TEST(Shedding, DuplicateInsertAtCapIsNotShed) {
   // A duplicate insert at the cap is the pre-existing "already present"
   // nullptr, not a shed — the counter must not conflate them.

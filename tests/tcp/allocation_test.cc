@@ -326,7 +326,7 @@ TEST_P(ChurnAllocationTest, CompletionAndReapAllocateNothingOnceWarm) {
 // Only the flat tables own their PCBs through a slab; the other backends
 // still allocate one PCB per insert.
 INSTANTIATE_TEST_SUITE_P(SlabSpecs, ChurnAllocationTest,
-                         ::testing::Values("flat16:incremental", "flat",
+                         ::testing::Values("flat16:incremental", "flat16",
                                            "sharded:2:flat16"),
                          spec_test_name);
 

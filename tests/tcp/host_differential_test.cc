@@ -40,7 +40,7 @@ const char* const kSpecs[] = {
     "srcache",      "sequent:19:crc32",
     "hashed_mtf",   "connection_id",
     "dynamic:incremental",
-    "rcu:19:crc32", "flat",
+    "rcu:19:crc32", "flat16",
     "flat16:incremental",
     "sharded:4:flat16",
 };

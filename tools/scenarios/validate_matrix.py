@@ -40,7 +40,7 @@ MIN_DEMUXERS = 5
 # Demuxer families (the spec head before the first ':') that must have a
 # row in every matrix. Grown alongside the registry so a new backend that
 # never enters the bench is caught here, not noticed months later.
-REQUIRED_DEMUXER_FAMILIES = ("bsd", "sequent", "flat", "flat16")
+REQUIRED_DEMUXER_FAMILIES = ("bsd", "sequent", "flat16")
 
 
 def _is_number(value):
